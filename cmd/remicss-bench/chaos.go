@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -49,11 +48,7 @@ func runChaos(arg, jsonPath string, seed int64) error {
 	}
 	printChaosReport(res, sc)
 	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
+		if err := writeReport(jsonPath, res); err != nil {
 			return err
 		}
 		fmt.Printf("report written to %s\n", jsonPath)

@@ -8,11 +8,16 @@
 //	remicss-bench -fig compare
 //	remicss-bench -chaos blackout -chaos-json chaos_blackout.json
 //	remicss-bench -chaos list
+//	remicss-bench -schedule-json BENCH_schedule.json
+//	remicss-bench -privacy-json BENCH_privacy.json
 //
 // Figures: 2, 3-identical, 3-diverse, 4, 5, 6, 7, compare, all.
 // Chaos mode (-chaos) replays a scripted fault scenario over the emulator
 // and prints a degradation report; it exits non-zero if the run misses its
 // delivery floor or violates the ⌊κ⌋ threshold floor.
+// The two JSON modes time the solve path's tiers and score the chaos
+// catalog under the correlated-adversary model; neither is on the per-symbol
+// path, which benchmark/ at the repository root measures.
 // The paper's full sweep density is -mustep 0.1; the default here is 0.25
 // to keep "all" interactive.
 package main
@@ -42,27 +47,15 @@ func run() error {
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		metrics   = flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /trace, and pprof on this address while the sweep runs (e.g. 127.0.0.1:9090)")
-		benchJSON = flag.String("bench-json", "", "run the parallel share-pipeline benchmarks instead of figures and write the JSON report to this path (e.g. BENCH_pipeline.json)")
 		schedJSON = flag.String("schedule-json", "", "run the schedule solve-path benchmarks (cold/warm/cached tiers at n=5,50,200) instead of figures and write the JSON report to this path (e.g. BENCH_schedule.json)")
-		gfJSON    = flag.String("gf-json", "", "run the GF(2^8) kernel and DRBG benchmarks (per-kernel passes, randomness sources, baseline-vs-fast split throughput) instead of figures and write the JSON report to this path (e.g. BENCH_gf.json)")
-		gwJSON    = flag.String("gateway-json", "", "run the session-gateway benchmarks (100k-session hold, batched-vs-portable multiplexed transfer, syscalls per datagram) instead of figures and write the JSON report to this path (e.g. BENCH_gateway.json)")
 		privJSON  = flag.String("privacy-json", "", "replay the builtin chaos catalog with correlated-adversary privacy scoring and write the per-scenario verdicts to this path (e.g. BENCH_privacy.json)")
 		chaosArg  = flag.String("chaos", "", "replay a chaos scenario instead of figures: a builtin name, a scenario-script path, or 'list'")
 		chaosJSON = flag.String("chaos-json", "", "with -chaos, also write the degradation report as JSON to this path")
 	)
 	flag.Parse()
 
-	if *benchJSON != "" {
-		return runBenchJSON(*benchJSON)
-	}
 	if *schedJSON != "" {
 		return runScheduleJSON(*schedJSON)
-	}
-	if *gfJSON != "" {
-		return runGFBenchJSON(*gfJSON)
-	}
-	if *gwJSON != "" {
-		return runGatewayJSON(*gwJSON)
 	}
 	if *privJSON != "" {
 		return runPrivacyJSON(*privJSON)

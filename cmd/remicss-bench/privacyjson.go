@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 
 	"remicss/internal/bench"
 	"remicss/internal/chaos"
@@ -34,11 +31,7 @@ type privacyScenarioEntry struct {
 
 // privacyBenchReport is the BENCH_privacy.json schema.
 type privacyBenchReport struct {
-	Schema      string                 `json:"schema"`
-	GOOS        string                 `json:"goos"`
-	GOARCH      string                 `json:"goarch"`
-	NumCPU      int                    `json:"num_cpu"`
-	GOMAXPROCS  int                    `json:"gomaxprocs"`
+	envelope
 	PartialBits int                    `json:"partial_bits"`
 	Scenarios   []privacyScenarioEntry `json:"scenarios"`
 }
@@ -50,11 +43,7 @@ type privacyBenchReport struct {
 // correlated-blackout scenarios are the rows the model exists for.
 func runPrivacyJSON(path string) error {
 	report := privacyBenchReport{
-		Schema:      "remicss-bench-privacy/v1",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		envelope:    newEnvelope("remicss-bench-privacy/v2"),
 		PartialBits: privacyPartialBits,
 	}
 	for _, name := range chaos.Names() {
@@ -79,12 +68,7 @@ func runPrivacyJSON(path string) error {
 		})
 	}
 
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := writeReport(path, report); err != nil {
 		return err
 	}
 	fmt.Printf("Privacy verdicts over the chaos catalog (λ = %d bit/share, ρ defaults to %.1f for derived groups)\n",

@@ -27,7 +27,7 @@ func TestPrivacyJSONReport(t *testing.T) {
 	if err := json.Unmarshal(raw, &report); err != nil {
 		t.Fatal(err)
 	}
-	if report.Schema != "remicss-bench-privacy/v1" {
+	if report.Schema != "remicss-bench-privacy/v2" {
 		t.Errorf("schema %q", report.Schema)
 	}
 	if report.PartialBits != privacyPartialBits {

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -50,11 +47,7 @@ type scheduleBenchEntry struct {
 
 // scheduleBenchReport is the BENCH_schedule.json schema.
 type scheduleBenchReport struct {
-	Schema     string               `json:"schema"`
-	GOOS       string               `json:"goos"`
-	GOARCH     string               `json:"goarch"`
-	NumCPU     int                  `json:"num_cpu"`
-	GOMAXPROCS int                  `json:"gomaxprocs"`
+	envelope
 	Benchmarks []scheduleBenchEntry `json:"benchmarks"`
 }
 
@@ -217,13 +210,7 @@ func benchScheduleTiers(n int) (scheduleBenchEntry, error) {
 // runScheduleJSON runs the solve-path tier benchmarks (cold, warm-started,
 // cached) across the size sweep and writes BENCH_schedule.json.
 func runScheduleJSON(path string) error {
-	report := scheduleBenchReport{
-		Schema:     "remicss-bench-schedule/v1",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
+	report := scheduleBenchReport{envelope: newEnvelope("remicss-bench-schedule/v2")}
 	for _, n := range scheduleBenchSizes {
 		e, err := benchScheduleTiers(n)
 		if err != nil {
@@ -232,12 +219,7 @@ func runScheduleJSON(path string) error {
 		report.Benchmarks = append(report.Benchmarks, e)
 	}
 
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := writeReport(path, report); err != nil {
 		return err
 	}
 	for _, e := range report.Benchmarks {

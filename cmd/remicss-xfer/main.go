@@ -260,7 +260,7 @@ func recv(args []string) error {
 	if err != nil {
 		return err
 	}
-	listener.Serve(rcv.HandleDatagram)
+	listener.ServeConcurrent(rcv.HandleDatagram)
 
 	select {
 	case <-done:

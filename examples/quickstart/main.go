@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	listener.Serve(recv.HandleDatagram)
+	listener.ServeConcurrent(recv.HandleDatagram)
 
 	links, err := remicss.DialUDP(listener.Addrs(), nil, 0)
 	if err != nil {

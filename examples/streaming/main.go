@@ -50,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	listener.Serve(recv.HandleDatagram)
+	listener.ServeConcurrent(recv.HandleDatagram)
 
 	// Sending side: every channel drops 10% of datagrams and adds a little
 	// delay — emulated in userspace.

@@ -349,8 +349,7 @@ func parallelBenchSender(b *testing.B, k, m int) *Sender {
 // BenchmarkSendParallel measures aggregate Send throughput with all
 // procs hammering one sender — the workload the lock-split data path is
 // for. Compare against BenchmarkSendSerialized at the same GOMAXPROCS:
-// the ratio is the parallel speedup of the fan-out redesign
-// (cmd/remicss-bench -bench-json records both).
+// the ratio is the parallel speedup of the fan-out redesign.
 func BenchmarkSendParallel(b *testing.B) {
 	payload := bytes.Repeat([]byte{0x5a}, 1400)
 	for _, tc := range []struct {

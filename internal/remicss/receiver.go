@@ -209,7 +209,7 @@ type entry struct {
 	sentAt  int64
 	arrived time.Duration // first-share arrival, for timeout eviction
 	shares  []sharing.Share
-	haveIdx uint32 // bitmask of share indices held
+	haveIdx uint32 // bitmask of share indices held; ingest bounds Index < M ≤ maxLinks
 	done    bool
 	spare   [][]byte // freelist of share payload buffers //remicss:secret
 }
@@ -373,6 +373,13 @@ func (r *Receiver) HandleDatagram(buf []byte) {
 // completed the symbol; the caller performs the delivery after releasing
 // the shard lock.
 func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duration) ([]byte, time.Duration, bool) {
+	if pkt.M > maxLinks {
+		// The wire format admits indices up to 254 but haveIdx is one bit
+		// per link: a forged wide share would slip past the duplicate
+		// check, so it may neither create nor fill an entry.
+		r.met.sharesInvalid.Inc()
+		return nil, 0, false
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 

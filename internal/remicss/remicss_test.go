@@ -367,6 +367,22 @@ func TestReceiverRejectsCorruptAndInconsistent(t *testing.T) {
 	if got := recv.Stats().SharesInvalid; got != 1 {
 		t.Errorf("invalid = %d, want 1", got)
 	}
+	// The same datagram twice with an index beyond the held-index mask's
+	// width: the wire format admits it, no sender can produce it. It must
+	// not open an entry, where the second copy would pass the duplicate
+	// check and close the symbol with a failed combine.
+	wide, err := wire.Marshal(wire.SharePacket{Seq: 2, K: 2, M: 41, Index: 40, Payload: []byte{5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv.HandleDatagram(wide)
+	recv.HandleDatagram(wide)
+	if st := recv.Stats(); st.SharesInvalid != 3 || st.SharesReceived != 0 || st.CombineFailures != 0 {
+		t.Errorf("after two wide shares: %+v, want 3 invalid, 0 received, 0 combine failures", st)
+	}
+	if got := recv.Pending(); got != 0 {
+		t.Errorf("pending = %d, want 0: a wide share opened an entry", got)
+	}
 	// Two shares of the same seq disagreeing on (k, m).
 	b1, err := wire.Marshal(wire.SharePacket{Seq: 1, K: 2, M: 3, Index: 0, Payload: []byte{1, 2}})
 	if err != nil {
@@ -378,8 +394,8 @@ func TestReceiverRejectsCorruptAndInconsistent(t *testing.T) {
 	}
 	recv.HandleDatagram(b1)
 	recv.HandleDatagram(b2)
-	if got := recv.Stats().SharesInvalid; got != 2 {
-		t.Errorf("invalid = %d, want 2", got)
+	if got := recv.Stats().SharesInvalid; got != 4 {
+		t.Errorf("invalid = %d, want 4", got)
 	}
 }
 

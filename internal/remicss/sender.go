@@ -212,13 +212,18 @@ type batchOp struct {
 	buf  []byte //remicss:secret
 }
 
+// maxLinks is the width of the channel masks (Chooser results, the
+// receiver's held-index set): a sender has at most this many links, so no
+// honest share carries M above it.
+const maxLinks = 32
+
 // NewSender builds a sender over the given links.
 func NewSender(cfg SenderConfig, links []Link) (*Sender, error) {
 	if len(links) == 0 {
 		return nil, ErrNoLinks
 	}
-	if len(links) > 32 {
-		return nil, fmt.Errorf("remicss: %d links exceeds the 32-channel mask limit", len(links))
+	if len(links) > maxLinks {
+		return nil, fmt.Errorf("remicss: %d links exceeds the %d-channel mask limit", len(links), maxLinks)
 	}
 	if cfg.Scheme == nil {
 		return nil, fmt.Errorf("remicss: nil scheme")

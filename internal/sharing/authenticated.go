@@ -66,33 +66,14 @@ func (a *Authenticated) tag(index int, data []byte) []byte {
 //
 //remicss:secret secret
 func (a *Authenticated) Split(secret []byte, k, m int) ([]Share, error) {
-	shares, err := a.inner.Split(secret, k, m)
-	if err != nil {
-		return nil, err
-	}
-	for i := range shares {
-		shares[i].Data = append(shares[i].Data, a.tag(shares[i].Index, shares[i].Data)...)
-	}
-	return shares, nil
+	return a.SplitSharesInto(secret, k, m, nil)
 }
 
 // Combine implements Scheme: verify and strip each tag, then reconstruct
 // with the inner scheme. The first share failing verification aborts with
 // ErrShareForged identifying its index.
 func (a *Authenticated) Combine(shares []Share, k, m int) ([]byte, error) {
-	stripped := make([]Share, len(shares))
-	for i, s := range shares {
-		if len(s.Data) < tagLen+1 {
-			return nil, fmt.Errorf("%w: share %d too short", ErrShareForged, s.Index)
-		}
-		data := s.Data[:len(s.Data)-tagLen]
-		tag := s.Data[len(s.Data)-tagLen:]
-		if !hmac.Equal(tag, a.tag(s.Index, data)) {
-			return nil, fmt.Errorf("%w: index %d", ErrShareForged, s.Index)
-		}
-		stripped[i] = Share{Index: s.Index, Data: data}
-	}
-	return a.inner.Combine(stripped, k, m)
+	return a.CombineInto(nil, shares, k, m)
 }
 
 // CombineDiscarding is like Combine but tolerates forged shares when more

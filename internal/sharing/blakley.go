@@ -48,8 +48,7 @@ func (b *Blakley) Split(secret []byte, k, m int) ([]Share, error) {
 
 // Combine implements Scheme.
 func (b *Blakley) Combine(shares []Share, k, m int) ([]byte, error) {
-	shares, err := validateShares(shares, k)
-	if err != nil {
+	if err := checkShares(shares, k); err != nil {
 		return nil, err
 	}
 	raw := make([]blakley.Share, 0, k)

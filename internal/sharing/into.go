@@ -14,9 +14,10 @@ import (
 // IntoScheme is the allocation-aware extension of Scheme: the same
 // operations writing into caller-provided storage so a steady-state sender
 // or receiver can cycle one set of buffers instead of allocating per symbol.
-// Every scheme in this package implements it; SplitInto and CombineInto
-// (package-level) adapt any remaining Scheme by falling back to the
-// allocating methods.
+// Every scheme in this package implements it, and (Blakley apart) their
+// Split and Combine are these methods called with nil storage; SplitInto
+// and CombineInto (package-level) adapt any remaining Scheme by falling
+// back to the allocating methods.
 type IntoScheme interface {
 	Scheme
 	// SplitSharesInto splits secret into m shares with threshold k, resizing
@@ -141,8 +142,8 @@ func (s *Shamir) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Sha
 	return shares, nil
 }
 
-// CombineInto implements IntoScheme. Unlike the allocating Combine, shares
-// are consumed in wire form without copying their y bytes.
+// CombineInto implements IntoScheme: shares are consumed in wire form
+// without copying their y bytes.
 //
 //remicss:noalloc
 func (s *Shamir) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error) {
@@ -247,6 +248,7 @@ func (r Replication) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, 
 	if err := checkShares(shares, 1); err != nil {
 		return nil, err
 	}
+	// Replicas should agree; disagreement means corruption upstream.
 	for _, s := range shares[1:] {
 		if !bytes.Equal(s.Data, shares[0].Data) {
 			return nil, fmt.Errorf("sharing: replicas disagree")
@@ -320,7 +322,7 @@ func (a *Authenticated) CombineInto(dst []byte, shares []Share, k, m int) ([]byt
 	return CombineInto(a.inner, dst, stripped[:len(shares)], k, m)
 }
 
-// SplitSharesInto implements IntoScheme by dispatching like Split.
+// SplitSharesInto implements IntoScheme by dispatching on (k, m).
 func (a *Auto) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error) {
 	if err := validate(secret, k, m); err != nil {
 		return nil, err
@@ -328,7 +330,7 @@ func (a *Auto) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share
 	return SplitInto(a.pick(k, m), secret, k, m, shares)
 }
 
-// CombineInto implements IntoScheme by dispatching like Combine.
+// CombineInto implements IntoScheme by dispatching on (k, m).
 func (a *Auto) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error) {
 	if k < 1 || m < k {
 		return nil, fmt.Errorf("%w: k=%d, m=%d", ErrInvalidParams, k, m)

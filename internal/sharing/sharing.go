@@ -17,7 +17,6 @@
 package sharing
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -65,25 +64,6 @@ func validate(secret []byte, k, m int) error {
 	return nil
 }
 
-func validateShares(shares []Share, k int) ([]Share, error) {
-	if len(shares) < k {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewShares, len(shares), k)
-	}
-	seen := make(map[int]bool, len(shares))
-	out := shares[:0:0]
-	for _, s := range shares {
-		if seen[s.Index] {
-			return nil, fmt.Errorf("%w: index %d", ErrDuplicateIndex, s.Index)
-		}
-		seen[s.Index] = true
-		if len(s.Data) != len(shares[0].Data) {
-			return nil, ErrShareMismatch
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
 // Shamir adapts internal/shamir to the Scheme interface. The zero value uses
 // the shared DRBG pool; NewShamir allows injecting a deterministic source.
 type Shamir struct {
@@ -103,43 +83,12 @@ func (s *Shamir) Name() string { return "shamir" }
 //
 //remicss:secret secret
 func (s *Shamir) Split(secret []byte, k, m int) ([]Share, error) {
-	if err := validate(secret, k, m); err != nil {
-		return nil, err
-	}
-	sp := s.splitter
-	if sp == nil {
-		sp = shamir.NewSplitter(nil)
-	}
-	raw, err := sp.Split(secret, k, m)
-	if err != nil {
-		return nil, fmt.Errorf("sharing: %w", err)
-	}
-	shares := make([]Share, m)
-	for i, r := range raw {
-		shares[i] = Share{Index: i, Data: r.Bytes()}
-	}
-	return shares, nil
+	return s.SplitSharesInto(secret, k, m, nil)
 }
 
 // Combine implements Scheme.
 func (s *Shamir) Combine(shares []Share, k, m int) ([]byte, error) {
-	shares, err := validateShares(shares, k)
-	if err != nil {
-		return nil, err
-	}
-	raw := make([]shamir.Share, 0, k)
-	for _, sh := range shares[:k] {
-		p, err := shamir.ParseShare(sh.Data)
-		if err != nil {
-			return nil, fmt.Errorf("sharing: %w", err)
-		}
-		raw = append(raw, p)
-	}
-	secret, err := shamir.Combine(raw)
-	if err != nil {
-		return nil, fmt.Errorf("sharing: %w", err)
-	}
-	return secret, nil
+	return s.CombineInto(nil, shares, k, m)
 }
 
 // XOR is the perfect m-of-m scheme: shares 0..m-2 are uniform random pads
@@ -165,49 +114,12 @@ func (x *XOR) Name() string { return "xor" }
 //
 //remicss:secret secret
 func (x *XOR) Split(secret []byte, k, m int) ([]Share, error) {
-	if err := validate(secret, k, m); err != nil {
-		return nil, err
-	}
-	if k != m {
-		return nil, fmt.Errorf("%w: xor requires k == m (got k=%d, m=%d)", ErrUnsupported, k, m)
-	}
-	r := x.rand
-	if r == nil {
-		r = drbg.Shared
-	}
-	shares := make([]Share, m)
-	acc := make([]byte, len(secret))
-	copy(acc, secret)
-	for i := 0; i < m-1; i++ {
-		pad := make([]byte, len(secret))
-		if _, err := io.ReadFull(r, pad); err != nil {
-			return nil, fmt.Errorf("sharing: reading pad: %w", err)
-		}
-		for j := range acc {
-			acc[j] ^= pad[j]
-		}
-		shares[i] = Share{Index: i, Data: pad}
-	}
-	shares[m-1] = Share{Index: m - 1, Data: acc}
-	return shares, nil
+	return x.SplitSharesInto(secret, k, m, nil)
 }
 
 // Combine implements Scheme.
 func (x *XOR) Combine(shares []Share, k, m int) ([]byte, error) {
-	if k != m {
-		return nil, fmt.Errorf("%w: xor requires k == m (got k=%d, m=%d)", ErrUnsupported, k, m)
-	}
-	shares, err := validateShares(shares, k)
-	if err != nil {
-		return nil, err
-	}
-	secret := make([]byte, len(shares[0].Data))
-	for _, s := range shares {
-		for j := range secret {
-			secret[j] ^= s.Data[j]
-		}
-	}
-	return secret, nil
+	return x.CombineInto(nil, shares, k, m)
 }
 
 // Replication is the degenerate k=1 scheme: every share is a copy of the
@@ -221,40 +133,13 @@ func (Replication) Name() string { return "replication" }
 // Split implements Scheme.
 //
 //remicss:secret secret
-func (Replication) Split(secret []byte, k, m int) ([]Share, error) {
-	if err := validate(secret, k, m); err != nil {
-		return nil, err
-	}
-	if k != 1 {
-		return nil, fmt.Errorf("%w: replication requires k == 1 (got k=%d)", ErrUnsupported, k)
-	}
-	shares := make([]Share, m)
-	for i := range shares {
-		data := make([]byte, len(secret))
-		copy(data, secret)
-		shares[i] = Share{Index: i, Data: data}
-	}
-	return shares, nil
+func (r Replication) Split(secret []byte, k, m int) ([]Share, error) {
+	return r.SplitSharesInto(secret, k, m, nil)
 }
 
 // Combine implements Scheme.
-func (Replication) Combine(shares []Share, k, m int) ([]byte, error) {
-	if k != 1 {
-		return nil, fmt.Errorf("%w: replication requires k == 1 (got k=%d)", ErrUnsupported, k)
-	}
-	shares, err := validateShares(shares, 1)
-	if err != nil {
-		return nil, err
-	}
-	// Sanity: replicas should agree; disagreement means corruption upstream.
-	for _, s := range shares[1:] {
-		if !bytes.Equal(s.Data, shares[0].Data) {
-			return nil, fmt.Errorf("sharing: replicas disagree")
-		}
-	}
-	out := make([]byte, len(shares[0].Data))
-	copy(out, shares[0].Data)
-	return out, nil
+func (r Replication) Combine(shares []Share, k, m int) ([]byte, error) {
+	return r.CombineInto(nil, shares, k, m)
 }
 
 // Auto dispatches to the cheapest correct scheme for each (k, m):
@@ -289,18 +174,12 @@ func (a *Auto) pick(k, m int) Scheme {
 //
 //remicss:secret secret
 func (a *Auto) Split(secret []byte, k, m int) ([]Share, error) {
-	if err := validate(secret, k, m); err != nil {
-		return nil, err
-	}
-	return a.pick(k, m).Split(secret, k, m)
+	return a.SplitSharesInto(secret, k, m, nil)
 }
 
 // Combine implements Scheme.
 func (a *Auto) Combine(shares []Share, k, m int) ([]byte, error) {
-	if k < 1 || m < k {
-		return nil, fmt.Errorf("%w: k=%d, m=%d", ErrInvalidParams, k, m)
-	}
-	return a.pick(k, m).Combine(shares, k, m)
+	return a.CombineInto(nil, shares, k, m)
 }
 
 // ShareOverhead reports the per-share byte overhead a scheme adds on top of

@@ -215,30 +215,6 @@ func TestForceBatchModeUnknown(t *testing.T) {
 	}
 }
 
-// TestServeDispatchNoAlloc pins the per-datagram dispatch cost of the
-// pooled Serve receive path at zero heap allocations, instrumentation on.
-func TestServeDispatchNoAlloc(t *testing.T) {
-	lis, err := Listen([]string{"127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	lis.Instrument(obs.NewRegistry())
-
-	var mu sync.Mutex
-	var seen int
-	handle := func(d []byte) { seen += len(d) }
-	if allocs := testing.AllocsPerRun(500, func() {
-		bp := recvBufPool.Get().(*[]byte)
-		lis.dispatch(0, 64, bp, &mu, handle)
-	}); allocs != 0 {
-		t.Fatalf("Serve dispatch allocates %v per datagram, want 0", allocs)
-	}
-	if seen == 0 {
-		t.Fatal("handler never ran")
-	}
-}
-
 // TestSendBatchSteadyStateAllocs pins the batched send path: after warmup,
 // a SendBatch burst on an unpaced, unimpaired link performs no per-call
 // heap allocations beyond what the kernel interface itself needs.

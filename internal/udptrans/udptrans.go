@@ -440,8 +440,9 @@ func (l *Link) Close() error {
 }
 
 // Listener receives share datagrams across several UDP sockets (one per
-// channel) and feeds them into a handler: serialized and copied via Serve,
-// or directly from the per-socket goroutines via ServeConcurrent.
+// channel) and feeds them into a handler directly from the per-socket
+// goroutines: one datagram per kernel entry via ServeConcurrent, or in
+// kernel batches via ServeBatch.
 type Listener struct {
 	conns []*net.UDPConn
 	// rcs caches each socket's raw connection for the batched receive path,
@@ -522,77 +523,6 @@ func (l *Listener) Addrs() []string {
 		out[i] = c.LocalAddr().String()
 	}
 	return out
-}
-
-// recvBufPool recycles full-size receive buffers across the Serve reader
-// goroutines, so steady-state ingest performs zero heap allocations per
-// datagram (it used to copy each datagram into a fresh slice). Buffers are
-// pooled as pointers to avoid boxing the slice header on every Put, and
-// recycled through an atomic slot with the pool as overflow so the
-// zero-allocation pin holds under the race detector (see batchScratch).
-var (
-	recvBufSlot atomic.Pointer[[]byte]
-	recvBufPool = sync.Pool{New: func() any {
-		b := make([]byte, MaxDatagram)
-		return &b
-	}}
-)
-
-// getRecvBuf claims a full-size receive buffer.
-func getRecvBuf() *[]byte {
-	if bp := recvBufSlot.Swap(nil); bp != nil {
-		return bp
-	}
-	return recvBufPool.Get().(*[]byte)
-}
-
-// putRecvBuf returns a buffer claimed by getRecvBuf.
-func putRecvBuf(bp *[]byte) {
-	if recvBufSlot.CompareAndSwap(nil, bp) {
-		return
-	}
-	recvBufPool.Put(bp)
-}
-
-// dispatch hands one received datagram, already sitting in the pooled
-// buffer bp, to handle under handleMu, then recycles the buffer. Split from
-// the Serve read loop so the per-datagram dispatch cost is pinned by an
-// AllocsPerRun test without a socket in the loop.
-//
-//remicss:noalloc
-func (l *Listener) dispatch(i, n int, bp *[]byte, handleMu *sync.Mutex, handle func(datagram []byte)) {
-	l.countRecv(i, n)
-	handleMu.Lock()
-	handle((*bp)[:n])
-	handleMu.Unlock()
-	putRecvBuf(bp)
-}
-
-// Serve starts one reader goroutine per socket, invoking handle for each
-// datagram. Calls to handle are serialized with an internal mutex, so a
-// non-thread-safe remicss.Receiver is safe to use directly. The datagram
-// slice is backed by a pooled buffer that is reused after handle returns,
-// so the handler must copy anything it keeps (remicss.Receiver already
-// does). Serve returns immediately; Close stops the readers and waits for
-// them.
-func (l *Listener) Serve(handle func(datagram []byte)) {
-	var handleMu sync.Mutex
-	for i, conn := range l.conns {
-		i, conn := i, conn
-		l.wg.Add(1)
-		go func() {
-			defer l.wg.Done()
-			for {
-				bp := getRecvBuf()
-				n, err := conn.Read(*bp)
-				if err != nil {
-					putRecvBuf(bp)
-					return // closed
-				}
-				l.dispatch(i, n, bp, &handleMu, handle)
-			}
-		}()
-	}
 }
 
 // ServeConcurrent starts one reader goroutine per socket, invoking handle

@@ -33,7 +33,7 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listener.Serve(recv.HandleDatagram)
+	listener.ServeConcurrent(recv.HandleDatagram)
 
 	links := make([]remicss.Link, 0, 3)
 	for _, addr := range listener.Addrs() {
@@ -213,7 +213,7 @@ func TestListenerCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listener.Serve(func([]byte) {})
+	listener.ServeConcurrent(func([]byte) {})
 	if err := listener.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestImpairedLossDropsDatagrams(t *testing.T) {
 	defer listener.Close()
 	var mu sync.Mutex
 	received := 0
-	listener.Serve(func([]byte) {
+	listener.ServeConcurrent(func([]byte) {
 		mu.Lock()
 		received++
 		mu.Unlock()
@@ -278,7 +278,7 @@ func TestImpairedDelayDefersDelivery(t *testing.T) {
 	}
 	defer listener.Close()
 	arrived := make(chan time.Time, 1)
-	listener.Serve(func([]byte) {
+	listener.ServeConcurrent(func([]byte) {
 		select {
 		case arrived <- time.Now():
 		default:

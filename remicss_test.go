@@ -153,7 +153,7 @@ func TestFacadeUDPSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listener.Serve(recv.HandleDatagram)
+	listener.ServeConcurrent(recv.HandleDatagram)
 
 	links, err := remicss.DialUDP(listener.Addrs(), nil, 0)
 	if err != nil {

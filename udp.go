@@ -12,7 +12,8 @@ import (
 type UDPLink = udptrans.Link
 
 // UDPListener receives shares across several UDP sockets and feeds them
-// into a handler — serialized (Serve) or concurrently (ServeConcurrent).
+// into a handler from one goroutine per socket (ServeConcurrent, or
+// ServeBatch for kernel-batched reads).
 type UDPListener = udptrans.Listener
 
 // WallClock is the clock both ends of a UDP session should pass as
