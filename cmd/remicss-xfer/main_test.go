@@ -60,6 +60,12 @@ func TestSendRecvInProcess(t *testing.T) {
 	// so repeated transfers are harmless.
 	stop := make(chan struct{})
 	go func() {
+		// Give the receiver time to bind all three sockets first. A send
+		// that lands while it is binding gets through on some channels only,
+		// and each re-send is a fresh sender reusing the same sequence
+		// numbers: its shares would then combine with the stranded ones of
+		// the partial transfer (each still carries a valid tag) into garbage.
+		time.Sleep(100 * time.Millisecond)
 		for {
 			select {
 			case <-stop:

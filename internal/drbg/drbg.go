@@ -68,6 +68,11 @@ type DRBG struct {
 	buf [batchLen]byte //remicss:secret
 	off int
 
+	// temp is update's working block: the next key and counter before they
+	// are adopted. It lives here because a local passed to the cipher.Block
+	// interface would be heap-allocated per refill; update clears it.
+	temp [seedLen]byte //remicss:secret
+
 	generated int       // bytes generated since the last (re)seed
 	pid       int       // process id at the last (re)seed; fork detector
 	entropy   io.Reader // nil for deterministic instances: never reseeds
@@ -105,7 +110,7 @@ func NewDeterministic(seed []byte) *DRBG {
 	copy(material[keyLen:], h.Sum(nil))
 
 	d := &DRBG{off: batchLen}
-	d.update(&material)
+	d.update(d.block(), &material)
 	clear(material[:])
 	return d
 }
@@ -137,23 +142,23 @@ func (d *DRBG) Read(p []byte) (int, error) {
 // dispatches to the hardware AES units), then the counter advanced past
 // the consumed blocks and a no-input update that replaces the key — the
 // spec's backtracking-resistance step, here also the fork/interval reseed
-// point for entropy-backed instances.
+// point for entropy-backed instances. The key schedule built for the
+// keystream also serves the update, which still encrypts under the key the
+// batch was generated with; the schedule cannot outlive the refill because
+// that update replaces the key.
 func (d *DRBG) refill() error {
 	if d.entropy != nil && (d.generated >= reseedAfter || d.pid != os.Getpid()) {
 		if err := d.reseed(); err != nil {
 			return err
 		}
 	}
-	b, err := aes.NewCipher(d.key[:])
-	if err != nil { // unreachable: the key length is fixed
-		panic(err)
-	}
+	b := d.block()
 	incr(&d.v)
 	ctr := cipher.NewCTR(b, d.v[:])
 	clear(d.buf[:])
 	ctr.XORKeyStream(d.buf[:], d.buf[:])
 	addTo(&d.v, batchLen/blockLen-1)
-	d.update(nil)
+	d.update(b, nil)
 	d.generated += batchLen
 	d.off = 0
 	return nil
@@ -167,24 +172,30 @@ func (d *DRBG) reseed() error {
 	if _, err := io.ReadFull(d.entropy, seed[:]); err != nil {
 		return fmt.Errorf("%w: %v", ErrEntropy, err)
 	}
-	d.update(&seed)
+	d.update(d.block(), &seed)
 	clear(seed[:])
 	d.generated = 0
 	d.pid = os.Getpid()
 	return nil
 }
 
-// update is CTR_DRBG_Update: encrypt the next three counter blocks under
-// the current key, XOR in the provided seed material, and adopt the result
-// as the new key and counter. material may be nil — the zero additional
-// input applied after every generate, which is what makes a captured state
-// useless for reconstructing earlier output.
-func (d *DRBG) update(material *[seedLen]byte) {
-	var temp [seedLen]byte
+// block returns the AES key schedule of the current key.
+func (d *DRBG) block() cipher.Block {
 	b, err := aes.NewCipher(d.key[:])
 	if err != nil { // unreachable: the key length is fixed
 		panic(err)
 	}
+	return b
+}
+
+// update is CTR_DRBG_Update: encrypt the next three counter blocks under
+// the current key (b is its schedule, from d.block), XOR in the provided
+// seed material, and adopt the result as the new key and counter. material
+// may be nil — the zero additional input applied after every generate,
+// which is what makes a captured state useless for reconstructing earlier
+// output.
+func (d *DRBG) update(b cipher.Block, material *[seedLen]byte) {
+	temp := &d.temp
 	for i := 0; i < seedLen; i += blockLen {
 		incr(&d.v)
 		b.Encrypt(temp[i:i+blockLen], d.v[:])

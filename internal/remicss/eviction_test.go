@@ -238,3 +238,70 @@ func TestClosedMemoryIsBounded(t *testing.T) {
 		t.Fatalf("forgotten seq did not re-admit: %+v", st)
 	}
 }
+
+// TestClosedMemoryGrowsToItsLimit pins the closed memory's storage: nothing
+// is reserved up front, the ring grows with the seqs it remembers, stops at
+// closedMemoryFactor × MaxPending, and from there on each new seq overwrites
+// the oldest.
+func TestClosedMemoryGrowsToItsLimit(t *testing.T) {
+	const maxPending = 4
+	capacity := closedMemoryFactor * maxPending
+	h := newEvictionHarness(t, 1, 3, maxPending)
+	sh := &h.recv.shards[0]
+	if len(sh.closedFIFO) != 0 || len(sh.closed) != 0 {
+		t.Fatalf("fresh receiver remembers %d/%d closed seqs, want none", len(sh.closedFIFO), len(sh.closed))
+	}
+	for i := 0; i <= capacity; i++ {
+		h.recv.HandleDatagram(h.send([]byte{byte(i)})[0])
+		h.now += 200 * time.Millisecond
+		h.recv.Tick()
+		want := i + 1
+		if want > capacity {
+			want = capacity
+		}
+		if len(sh.closedFIFO) != want || len(sh.closed) != want {
+			t.Fatalf("after %d closes: ring %d, set %d, want %d", i+1, len(sh.closedFIFO), len(sh.closed), want)
+		}
+	}
+	if _, ok := sh.closed[0]; ok {
+		t.Fatal("seq 0 still remembered after capacity+1 closes")
+	}
+	for seq := uint64(1); seq <= uint64(capacity); seq++ {
+		if _, ok := sh.closed[seq]; !ok {
+			t.Fatalf("seq %d forgotten with only seq 0 due out", seq)
+		}
+	}
+}
+
+// TestShareBuffersReturnToTheShard follows share payload buffers through
+// their life: owned by the entry while the symbol is incomplete, back on the
+// shard's freelist the moment it is delivered (the tombstone keeps none) or
+// evicted, and never more than maxFreeBufs of them kept.
+func TestShareBuffersReturnToTheShard(t *testing.T) {
+	h := newEvictionHarness(t, 2, 3, 2*maxFreeBufs)
+	sh := &h.recv.shards[0]
+	shares := h.send([]byte("buffer-life"))
+	h.recv.HandleDatagram(shares[0])
+	if e := sh.pending[0]; len(e.shares) != 1 || len(sh.free) != 0 {
+		t.Fatalf("incomplete: entry holds %d shares, freelist %d, want 1 and 0", len(e.shares), len(sh.free))
+	}
+	h.recv.HandleDatagram(shares[1]) // k reached: delivered
+	h.recv.HandleDatagram(shares[2]) // late against the tombstone: takes no buffer
+	if e := sh.pending[0]; !e.done || len(e.shares) != 0 || len(sh.free) != 2 {
+		t.Fatalf("tombstone: done %v, holds %d shares, freelist %d, want true, 0 and 2", e.done, len(e.shares), len(sh.free))
+	}
+
+	// One share each of more symbols than the freelist may keep, then time
+	// them all out.
+	for i := 0; i < maxFreeBufs+50; i++ {
+		h.recv.HandleDatagram(h.send([]byte{byte(i)})[0])
+	}
+	h.now += 200 * time.Millisecond
+	h.recv.Tick()
+	if got := h.recv.Pending(); got != 0 {
+		t.Fatalf("pending %d after timing everything out", got)
+	}
+	if len(sh.free) != maxFreeBufs {
+		t.Fatalf("freelist holds %d buffers after a burst of %d, want the bound %d", len(sh.free), maxFreeBufs+50, maxFreeBufs)
+	}
+}

@@ -1,7 +1,6 @@
 package remicss
 
 import (
-	"container/list"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -21,9 +20,15 @@ const (
 	DefaultMaxPending        = 4096
 )
 
-// closedMemoryFactor sizes the closed-symbol memory (see Receiver.closed)
+// closedMemoryFactor sizes the closed-symbol memory (see recvShard.closed)
 // as a multiple of MaxPending.
 const closedMemoryFactor = 4
+
+// maxFreeBufs bounds each shard's freelist of share payload buffers. Only
+// buffers that were in use at once can ever be on it, so the bound matters
+// after a burst: what a shard keeps from its deepest backlog is capped at
+// this many buffers, the rest goes to the collector.
+const maxFreeBufs = 256
 
 // ReceiverStats counts receiver-side activity. It is a point-in-time
 // snapshot assembled from the receiver's metric registry; the registry
@@ -136,8 +141,14 @@ const maxReceiverShards = 64
 // with its own mutex, so HandleDatagram calls for different shards do not
 // contend; counters are atomic and readable without any lock, and symbol
 // delivery is serialized by a dedicated mutex taken outside the shard
-// locks. Reassembly entries and their share buffers are recycled through a
-// sync.Pool, so steady-state ingest does not allocate per share.
+// locks.
+//
+// Steady-state ingest allocates once per symbol, the reconstructed secret,
+// which the callback owns. A share's payload is copied out of the transport's
+// datagram into a buffer taken from its shard's freelist; the buffer belongs
+// to the symbol's entry until the symbol is delivered, fails to combine or is
+// evicted, and at that moment goes back to the shard's freelist — a
+// tombstone holds none. Entries themselves cycle through a sync.Pool.
 type Receiver struct {
 	cfg   ReceiverConfig
 	met   receiverMetrics
@@ -166,21 +177,31 @@ type Receiver struct {
 type recvShard struct {
 	mu sync.Mutex
 
-	// pending maps seq -> reassembly entry; order tracks insertion order
-	// for timeout scans and memory-pressure eviction (oldest first within
-	// the shard).
-	pending map[uint64]*list.Element // guarded by mu //remicss:secret
-	order   *list.List               // guarded by mu //remicss:secret
+	// pending maps seq -> reassembly entry; oldest and newest are the ends
+	// of the admission order, linked through the entries themselves, for
+	// timeout scans and memory-pressure eviction (oldest first within the
+	// shard).
+	pending map[uint64]*entry // guarded by mu //remicss:secret
+	oldest  *entry            // guarded by mu
+	newest  *entry            // guarded by mu
+
+	// free holds share payload buffers no entry owns, at most maxFreeBufs
+	// of them.
+	free [][]byte // guarded by mu //remicss:secret
 
 	// closed remembers recently evicted tombstones (symbols already
 	// delivered or failed) so a straggler share cannot reopen its
 	// sequence number and — for thresholds met again — deliver the same
 	// symbol twice. Bounded FIFO: closedFIFO holds the remembered seqs in
-	// insertion order, closedHead is the next overwrite position once the
-	// ring is full.
+	// insertion order and grows on demand to closedLimit of them;
+	// closedHead is the next overwrite position once the ring is full.
 	closed     map[uint64]struct{} // guarded by mu
 	closedFIFO []uint64            // guarded by mu
 	closedHead int                 // guarded by mu
+
+	// closedLimit is closedMemoryFactor × maxPending; read-only after
+	// construction.
+	closedLimit int
 
 	// maxPending is this shard's slice of ReceiverConfig.MaxPending
 	// (ceiling division); read-only after construction.
@@ -199,32 +220,35 @@ type recvShard struct {
 	_ [64]byte
 }
 
-// entry is one symbol being reassembled. A delivered symbol keeps a
-// tombstone entry (shares recycled, done true) until eviction so that late
-// duplicate shares are classified correctly. Entries live in entryPool;
-// spare holds share payload buffers recycled within and across entries.
+// entry is one symbol being reassembled. It owns the payload buffers of the
+// shares it holds. A delivered (or combine-failed) symbol keeps its entry as
+// a tombstone — done true, no shares, no buffers — until eviction, so that
+// late duplicate shares are classified correctly. prev and next link the
+// shard's admission order. Entries live in entryPool.
 type entry struct {
-	seq     uint64
-	k, m    int
-	sentAt  int64
-	arrived time.Duration // first-share arrival, for timeout eviction
-	shares  []sharing.Share
-	haveIdx uint32 // bitmask of share indices held; ingest bounds Index < M ≤ maxLinks
-	done    bool
-	spare   [][]byte // freelist of share payload buffers //remicss:secret
+	seq        uint64
+	k, m       int
+	sentAt     int64
+	arrived    time.Duration // first-share arrival, for timeout eviction
+	shares     []sharing.Share
+	haveIdx    uint32 // bitmask of share indices held; ingest bounds Index < M ≤ maxLinks
+	done       bool
+	prev, next *entry // toward oldest, toward newest
 }
 
-// entryPool recycles reassembly entries (and, through their spare lists,
-// share payload buffers) across symbols and across receivers.
+// entryPool recycles reassembly entries (and the backing arrays of their
+// share lists) across symbols and across receivers.
 var entryPool = sync.Pool{New: func() any { return new(entry) }}
 
-// grabBuf returns an n-byte buffer, reusing the freelist when a spare has
-// enough capacity.
-func (e *entry) grabBuf(n int) []byte {
-	if last := len(e.spare) - 1; last >= 0 {
-		b := e.spare[last]
-		e.spare[last] = nil
-		e.spare = e.spare[:last]
+// grabBuf returns an n-byte buffer, reusing the shard's freelist when its
+// top buffer has enough capacity.
+//
+//lint:allow mutexguard callers hold sh.mu
+func (sh *recvShard) grabBuf(n int) []byte {
+	if last := len(sh.free) - 1; last >= 0 {
+		b := sh.free[last]
+		sh.free[last] = nil
+		sh.free = sh.free[:last]
 		if cap(b) >= n {
 			return b[:n]
 		}
@@ -232,14 +256,49 @@ func (e *entry) grabBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// recycleShares moves every held share buffer onto the freelist and resets
-// the share list.
-func (e *entry) recycleShares() {
+// recycleShares hands every share buffer e holds back to the shard's
+// freelist (dropping what does not fit under maxFreeBufs) and resets the
+// share list.
+//
+//lint:allow mutexguard callers hold sh.mu
+func (sh *recvShard) recycleShares(e *entry) {
 	for i := range e.shares {
-		e.spare = append(e.spare, e.shares[i].Data)
+		if len(sh.free) < maxFreeBufs {
+			sh.free = append(sh.free, e.shares[i].Data)
+		}
 		e.shares[i].Data = nil
 	}
 	e.shares = e.shares[:0]
+}
+
+// pushNewest appends e to the shard's admission order.
+//
+//lint:allow mutexguard callers hold sh.mu
+func (sh *recvShard) pushNewest(e *entry) {
+	e.prev, e.next = sh.newest, nil
+	if sh.newest != nil {
+		sh.newest.next = e
+	} else {
+		sh.oldest = e
+	}
+	sh.newest = e
+}
+
+// unlink removes e from the shard's admission order.
+//
+//lint:allow mutexguard callers hold sh.mu
+func (sh *recvShard) unlink(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		sh.oldest = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		sh.newest = e.prev
+	}
+	e.prev, e.next = nil, nil
 }
 
 // NewReceiver builds a receiver.
@@ -286,10 +345,9 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	perShard := (cfg.MaxPending + n - 1) / n
 	for i := range r.shards {
 		sh := &r.shards[i]
-		sh.pending = make(map[uint64]*list.Element)
-		sh.order = list.New()
+		sh.pending = make(map[uint64]*entry)
 		sh.closed = make(map[uint64]struct{})
-		sh.closedFIFO = make([]uint64, 0, closedMemoryFactor*perShard)
+		sh.closedLimit = closedMemoryFactor * perShard
 		sh.maxPending = perShard
 		label := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
 		sh.depth = reg.Gauge("remicss_receiver_shard_pending", label)
@@ -333,7 +391,7 @@ func (r *Receiver) Pending() int {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		n += sh.order.Len()
+		n += len(sh.pending)
 		sh.mu.Unlock()
 	}
 	return n
@@ -385,7 +443,7 @@ func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duratio
 
 	r.evictExpired(sh, now)
 
-	elem, exists := sh.pending[pkt.Seq]
+	e, exists := sh.pending[pkt.Seq]
 	if !exists {
 		if _, wasClosed := sh.closed[pkt.Seq]; wasClosed {
 			// The symbol's tombstone has already been evicted; reopening
@@ -395,19 +453,18 @@ func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duratio
 			return nil, 0, false
 		}
 		r.admit(sh)
-		e := entryPool.Get().(*entry)
+		e = entryPool.Get().(*entry)
 		e.seq = pkt.Seq
 		e.k, e.m = int(pkt.K), int(pkt.M)
 		e.sentAt = pkt.SentAt
 		e.arrived = now
 		e.haveIdx = 0
 		e.done = false
-		elem = sh.order.PushBack(e)
-		sh.pending[pkt.Seq] = elem
+		sh.pushNewest(e)
+		sh.pending[pkt.Seq] = e
 		r.met.pending.Add(1)
-		sh.depth.Set(int64(sh.order.Len()))
+		sh.depth.Set(int64(len(sh.pending)))
 	}
-	e := elem.Value.(*entry)
 
 	if e.done {
 		r.met.sharesLate.Inc()
@@ -424,7 +481,7 @@ func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duratio
 		return nil, 0, false
 	}
 	e.haveIdx |= 1 << uint(pkt.Index)
-	data := e.grabBuf(len(pkt.Payload))
+	data := sh.grabBuf(len(pkt.Payload))
 	copy(data, pkt.Payload)
 	e.shares = append(e.shares, sharing.Share{Index: int(pkt.Index), Data: data})
 	r.met.sharesReceived.Inc()
@@ -441,11 +498,11 @@ func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duratio
 		// Leave the entry; a later consistent share set cannot form since
 		// indices are unique, so mark done to stop retrying.
 		e.done = true
-		e.recycleShares()
+		sh.recycleShares(e)
 		return nil, 0, false
 	}
 	e.done = true
-	e.recycleShares()
+	sh.recycleShares(e)
 	r.met.symbolsDeliv.Inc()
 	delay := now - time.Duration(e.sentAt)
 	r.met.delay.Observe(int64(delay))
@@ -469,16 +526,8 @@ func (r *Receiver) Tick() {
 //
 //lint:allow mutexguard callers hold sh.mu
 func (r *Receiver) evictExpired(sh *recvShard, now time.Duration) {
-	for {
-		front := sh.order.Front()
-		if front == nil {
-			return
-		}
-		e := front.Value.(*entry)
-		if now-e.arrived < r.cfg.Timeout {
-			return
-		}
-		r.drop(sh, front, e, now)
+	for e := sh.oldest; e != nil && now-e.arrived >= r.cfg.Timeout; e = sh.oldest {
+		r.drop(sh, e, now)
 	}
 }
 
@@ -487,10 +536,8 @@ func (r *Receiver) evictExpired(sh *recvShard, now time.Duration) {
 //
 //lint:allow mutexguard callers hold sh.mu
 func (r *Receiver) admit(sh *recvShard) {
-	for sh.order.Len() >= sh.maxPending {
-		front := sh.order.Front()
-		e := front.Value.(*entry)
-		r.drop(sh, front, e, e.arrived+r.cfg.Timeout)
+	for len(sh.pending) >= sh.maxPending {
+		r.drop(sh, sh.oldest, sh.oldest.arrived+r.cfg.Timeout)
 	}
 }
 
@@ -500,7 +547,7 @@ func (r *Receiver) admit(sh *recvShard) {
 //
 //lint:allow mutexguard callers hold sh.mu
 func (sh *recvShard) rememberClosed(seq uint64) {
-	if len(sh.closedFIFO) < cap(sh.closedFIFO) {
+	if len(sh.closedFIFO) < sh.closedLimit {
 		sh.closedFIFO = append(sh.closedFIFO, seq)
 	} else {
 		delete(sh.closed, sh.closedFIFO[sh.closedHead])
@@ -514,8 +561,8 @@ func (sh *recvShard) rememberClosed(seq uint64) {
 // the eviction timestamp for trace purposes.
 //
 //lint:allow mutexguard callers hold sh.mu
-func (r *Receiver) drop(sh *recvShard, elem *list.Element, e *entry, now time.Duration) {
-	sh.order.Remove(elem)
+func (r *Receiver) drop(sh *recvShard, e *entry, now time.Duration) {
+	sh.unlink(e)
 	delete(sh.pending, e.seq)
 	if e.done {
 		// Delivered (or combine-failed) symbols must never be re-admitted
@@ -527,7 +574,7 @@ func (r *Receiver) drop(sh *recvShard, elem *list.Element, e *entry, now time.Du
 		r.trace.Record(obs.EventSymbolEvicted, -1, now, e.seq, int64(len(e.shares)))
 	}
 	r.met.pending.Add(-1)
-	sh.depth.Set(int64(sh.order.Len()))
-	e.recycleShares()
+	sh.depth.Set(int64(len(sh.pending)))
+	sh.recycleShares(e)
 	entryPool.Put(e)
 }

@@ -213,12 +213,12 @@ func scriptConfig(b byte) (name string, scheme sharing.Scheme, k, m, shards, max
 // runReceiverScript drives a Receiver and the model with the same datagrams
 // on the same fake clock and compares them after every operation. It returns
 // the final counters.
-func runReceiverScript(t *testing.T, script []byte) ReceiverStats {
+func runReceiverScript(t *testing.T, prog []byte) ReceiverStats {
 	t.Helper()
-	if len(script) == 0 {
+	if len(prog) == 0 {
 		return ReceiverStats{}
 	}
-	name, scheme, k, m, shards, maxPending := scriptConfig(script[0])
+	name, scheme, k, m, shards, maxPending := scriptConfig(prog[0])
 
 	var now time.Duration
 	var got, want []delivery
@@ -267,8 +267,8 @@ func runReceiverScript(t *testing.T, script []byte) ReceiverStats {
 
 	delivered := make(map[uint64]bool)
 	cursor, checked := 0, 0
-	for pc := 1; pc+2 < len(script); pc += 3 {
-		op, sel, arg := script[pc]%numOps, script[pc+1], script[pc+2]
+	for pc := 1; pc+2 < len(prog); pc += 3 {
+		op, sel, arg := prog[pc]%numOps, prog[pc+1], prog[pc+2]
 		at := cursor - int(sel>>3)
 		if at < 0 {
 			at = 0
@@ -516,7 +516,7 @@ func FuzzReceiver(f *testing.F) {
 	f.Add(lossyScript(8, 1, 120))
 	f.Add(lossyScript(11, 2, 120))
 	f.Add(lossyScript(2, 3, 120))
-	f.Fuzz(func(t *testing.T, script []byte) {
-		runReceiverScript(t, script)
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		runReceiverScript(t, prog)
 	})
 }

@@ -127,7 +127,7 @@ func TestCombineIntoRejectsBadShares(t *testing.T) {
 }
 
 // TestSplitIntoAllocs pins the steady-state allocation count of the into
-// path: one allocation for the random coefficient block, nothing else.
+// path: none — the random coefficient block is the splitter's own scratch.
 func TestSplitIntoAllocs(t *testing.T) {
 	sp := NewSplitter(rand.New(rand.NewSource(13)))
 	secret := bytes.Repeat([]byte{0x3c}, 1400)
@@ -142,8 +142,8 @@ func TestSplitIntoAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("SplitInto allocates %v times per op, want <= 1", allocs)
+	if allocs != 0 {
+		t.Errorf("SplitInto allocates %v times per op, want 0", allocs)
 	}
 
 	dst := make([]byte, len(secret))
@@ -156,6 +156,34 @@ func TestSplitIntoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("CombineInto allocates %v times per op, want 0", allocs)
+	}
+}
+
+// TestSplitScratchZeroedAtRest checks that the pooled coefficient block —
+// which together with any one share determines the secret — is zeroed when
+// a split hands it back, on the success path and on a randomness shortfall.
+func TestSplitScratchZeroedAtRest(t *testing.T) {
+	secret := bytes.Repeat([]byte{0x77}, 64)
+	atRest := func(sp *Splitter) []byte {
+		sc := sp.scratchSlot.Load()
+		if sc == nil {
+			t.Fatal("no scratch parked in the slot after a lone split")
+		}
+		return sc.random[:cap(sc.random)]
+	}
+	sp := NewSplitter(rand.New(rand.NewSource(5)))
+	if _, err := sp.SplitInto(secret, 3, 5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := atRest(sp); len(got) != 2*len(secret) || !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatalf("coefficient block at rest after a split: %d bytes, not all zero", len(got))
+	}
+	short := NewSplitter(bytes.NewReader(bytes.Repeat([]byte{0xff}, 100)))
+	if _, err := short.SplitInto(secret, 3, 5, nil); err == nil {
+		t.Fatal("split succeeded on 100 of 128 random bytes")
+	}
+	if got := atRest(short); !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatal("coefficient block not zeroed after a failed split")
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"remicss/internal/drbg"
 	"remicss/internal/gf256"
@@ -67,9 +69,42 @@ func ParseShare(b []byte) (Share, error) {
 
 // Splitter creates shares with a caller-supplied randomness source, which
 // makes splitting deterministic under test. The zero value is not usable;
-// construct with NewSplitter.
+// construct with NewSplitter. A Splitter is safe for concurrent use when its
+// randomness source is.
 type Splitter struct {
 	rand io.Reader //remicss:secret
+
+	// Per-caller coefficient scratch, the idiom of drbg.Pool: scratchSlot
+	// holds one block a lone caller claims and returns with two uncontended
+	// atomics, scratch catches the overflow when splits race. A block is
+	// zeroed before it comes back, so neither holds coefficients at rest.
+	scratchSlot atomic.Pointer[splitScratch]
+	scratch     sync.Pool
+}
+
+// splitScratch is one split's random coefficient block.
+type splitScratch struct {
+	random []byte //remicss:secret
+}
+
+// getScratch claims a coefficient block for one SplitInto call.
+func (sp *Splitter) getScratch() *splitScratch {
+	if sc := sp.scratchSlot.Swap(nil); sc != nil {
+		return sc
+	}
+	if sc, _ := sp.scratch.Get().(*splitScratch); sc != nil {
+		return sc
+	}
+	return new(splitScratch)
+}
+
+// putScratch zeroes a block claimed by getScratch and returns it.
+func (sp *Splitter) putScratch(sc *splitScratch) {
+	clear(sc.random)
+	if sp.scratchSlot.CompareAndSwap(nil, sc) {
+		return
+	}
+	sp.scratch.Put(sc)
 }
 
 // NewSplitter returns a Splitter drawing coefficients from r. If r is nil,
@@ -96,8 +131,10 @@ func (sp *Splitter) Split(secret []byte, k, m int) ([]Share, error) {
 // SplitInto is Split writing into caller-provided share storage: the shares
 // slice is resized to m and each share's Y buffer is reused when its
 // capacity suffices, so a caller cycling the same slice through repeated
-// splits reaches a steady state of one scratch allocation per call (the
-// random coefficient block). Passing nil shares is equivalent to Split.
+// splits reaches a steady state of no allocation. The caller owns the share
+// buffers before and after; the splitter keeps only its own scratch, the
+// random coefficient block, which it zeroes before the call returns.
+// Passing nil shares is equivalent to Split.
 //
 // The split is evaluated block-wise: one random polynomial of degree k-1 per
 // secret byte, all evaluated together with the gf256 slice kernels — share i
@@ -143,9 +180,13 @@ func (sp *Splitter) SplitInto(secret []byte, k, m int, shares []Share) ([]Share,
 	// random holds coefficients 1..k-1 as contiguous slices of len(secret)
 	// bytes each: coefficient j for secret byte b is random[(j-1)*L+b].
 	// Together with any share the coefficients determine the secret, so the
-	// scratch block is inside the secret perimeter.
+	// scratch block is inside the secret perimeter and putScratch zeroes it
+	// on every path out.
+	sc := sp.getScratch()
+	defer sp.putScratch(sc)
+	sc.random = growBytes(sc.random, (k-1)*len(secret))
 	//remicss:secret
-	random := make([]byte, (k-1)*len(secret)) //lint:allow noalloc one scratch block per split; documented as SplitInto's only allocation
+	random := sc.random
 	if _, err := io.ReadFull(sp.rand, random); err != nil {
 		// Both sentinels stay in the chain: callers classify the failure
 		// as a shamir shortfall or drill to the source's own sentinel

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 )
 
 // Authenticated wraps another scheme and appends an HMAC-SHA256 tag to
@@ -21,7 +22,54 @@ import (
 // longer than the inner scheme's.
 type Authenticated struct {
 	inner Scheme
-	key   []byte
+	key   []byte //remicss:secret
+	macs  scratchPool[macState]
+}
+
+// macState is one caller's keyed HMAC-SHA256 with the buffers a tag needs.
+// Reset restores the keyed state (hmac keeps the post-ipad and post-opad
+// SHA-256 states after the first use) without allocating or rehashing the
+// pads, so a state built once tags every later share of its caller.
+type macState struct {
+	mac hash.Hash         //remicss:secret
+	idx [4]byte           // big-endian share index, the MAC's first input //remicss:secret
+	sum [sha256.Size]byte // full digest; the tag is its first tagLen bytes //remicss:secret
+
+	// stripped is CombineInto's view of the shares without their tags. It
+	// is handed to the inner scheme through an interface, so a local array
+	// would be heap-allocated per call; it aliases the caller's buffers only
+	// while the combine runs.
+	stripped []Share //remicss:secret
+}
+
+// getMAC claims a keyed state for one Split or Combine call.
+func (a *Authenticated) getMAC() *macState {
+	if st := a.macs.get(); st != nil {
+		return st
+	}
+	return &macState{mac: hmac.New(sha256.New, a.key)}
+}
+
+// putMAC returns a state claimed by getMAC, first dropping its references to
+// the caller's share buffers.
+func (a *Authenticated) putMAC(st *macState) {
+	clear(st.stripped)
+	a.macs.put(st)
+}
+
+// tag computes the share's tag into st and returns it; the result is valid
+// until st's next use.
+//
+//remicss:noalloc
+func (st *macState) tag(index int, data []byte) []byte {
+	st.idx[0] = byte(index >> 24)
+	st.idx[1] = byte(index >> 16)
+	st.idx[2] = byte(index >> 8)
+	st.idx[3] = byte(index)
+	st.mac.Reset()
+	st.mac.Write(st.idx[:])
+	st.mac.Write(data)
+	return st.mac.Sum(st.sum[:0])[:tagLen]
 }
 
 // tagLen is the truncated HMAC-SHA256 tag length appended to each share.
@@ -50,18 +98,6 @@ func (a *Authenticated) Name() string {
 	return "authenticated-" + a.inner.Name()
 }
 
-func (a *Authenticated) tag(index int, data []byte) []byte {
-	mac := hmac.New(sha256.New, a.key)
-	var idx [4]byte
-	idx[0] = byte(index >> 24)
-	idx[1] = byte(index >> 16)
-	idx[2] = byte(index >> 8)
-	idx[3] = byte(index)
-	mac.Write(idx[:])
-	mac.Write(data)
-	return mac.Sum(nil)[:tagLen]
-}
-
 // Split implements Scheme: inner split, then tag each share.
 //
 //remicss:secret secret
@@ -83,6 +119,8 @@ func (a *Authenticated) Combine(shares []Share, k, m int) ([]byte, error) {
 func (a *Authenticated) CombineDiscarding(shares []Share, k, m int) ([]byte, []int, error) {
 	var good []Share
 	var bad []int
+	st := a.getMAC()
+	defer a.putMAC(st)
 	for _, s := range shares {
 		if len(s.Data) < tagLen+1 {
 			bad = append(bad, s.Index)
@@ -90,7 +128,7 @@ func (a *Authenticated) CombineDiscarding(shares []Share, k, m int) ([]byte, []i
 		}
 		data := s.Data[:len(s.Data)-tagLen]
 		tag := s.Data[len(s.Data)-tagLen:]
-		if !hmac.Equal(tag, a.tag(s.Index, data)) {
+		if !hmac.Equal(tag, st.tag(s.Index, data)) {
 			bad = append(bad, s.Index)
 			continue
 		}

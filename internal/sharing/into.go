@@ -112,8 +112,9 @@ func checkShares(shares []Share, k int) error {
 
 // SplitSharesInto implements IntoScheme: the shares carry the shamir wire
 // form (x-coordinate byte followed by the y bytes) built block-wise in the
-// reused Data buffers. Steady-state cost is the inner splitter's single
-// random-block allocation plus one small header slice.
+// reused Data buffers. The caller owns those buffers throughout; the scheme
+// keeps only pooled scratch (the share headers here, the coefficient block
+// in the splitter), so the steady state allocates nothing.
 //
 //remicss:noalloc
 func (s *Shamir) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error) {
@@ -125,19 +126,28 @@ func (s *Shamir) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Sha
 		sp = shamir.NewSplitter(nil)
 	}
 	shares = growShares(shares, m)
-	raw := make([]shamir.Share, m) //lint:allow noalloc small header slice per split; documented steady-state cost
+	h := s.headers.get()
+	if h == nil {
+		h = new(shamirHeaders) //lint:allow noalloc first call per concurrent caller; pooled afterwards
+	}
+	if cap(h.raw) < m {
+		h.raw = make([]shamir.Share, m) //lint:allow noalloc grows to the largest m seen; pooled afterwards
+	}
+	raw := h.raw[:m]
 	for i := range shares {
 		shares[i].Index = i
 		shares[i].Data = growBytes(shares[i].Data, 1+len(secret))
 		// The shamir layer writes y bytes directly into the wire buffer.
 		raw[i].Y = shares[i].Data[1:]
 	}
-	raw, err := sp.SplitInto(secret, k, m, raw)
+	out, err := sp.SplitInto(secret, k, m, raw)
+	for i := range out {
+		shares[i].Data[0] = out[i].X
+	}
+	clear(raw) // the pooled headers must not keep the caller's buffers reachable
+	s.headers.put(h)
 	if err != nil {
 		return nil, fmt.Errorf("sharing: %w", err)
-	}
-	for i := range shares {
-		shares[i].Data[0] = raw[i].X
 	}
 	return shares, nil
 }
@@ -287,39 +297,48 @@ func (b *Blakley) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, err
 }
 
 // SplitSharesInto implements IntoScheme: the inner scheme splits into the
-// reused buffers and each tag is appended in place. HMAC computation itself
-// allocates (hash state); authentication is priced separately from the
-// zero-allocation plain schemes.
+// reused buffers and each tag is appended in place, computed on a pooled
+// keyed MAC state. The caller owns the share buffers throughout; once they
+// have grown by tagLen the steady state allocates nothing beyond the inner
+// scheme's own cost.
+//
+//remicss:noalloc
 func (a *Authenticated) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error) {
 	shares, err := SplitInto(a.inner, secret, k, m, shares)
 	if err != nil {
 		return nil, err
 	}
+	st := a.getMAC()
+	defer a.putMAC(st)
 	for i := range shares {
-		shares[i].Data = append(shares[i].Data, a.tag(shares[i].Index, shares[i].Data)...)
+		shares[i].Data = append(shares[i].Data, st.tag(shares[i].Index, shares[i].Data)...)
 	}
 	return shares, nil
 }
 
 // CombineInto implements IntoScheme: verify and strip tags without copying
 // share bodies, then reconstruct with the inner scheme's into path.
+//
+//remicss:noalloc
 func (a *Authenticated) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error) {
-	var stripped [shamir.MaxShares]Share
-	if len(shares) > len(stripped) {
+	if len(shares) > shamir.MaxShares {
 		return nil, fmt.Errorf("%w: %d shares", ErrInvalidParams, len(shares))
 	}
+	st := a.getMAC()
+	defer a.putMAC(st)
+	st.stripped = growShares(st.stripped, len(shares))
 	for i, s := range shares {
 		if len(s.Data) < tagLen+1 {
 			return nil, fmt.Errorf("%w: share %d too short", ErrShareForged, s.Index)
 		}
 		data := s.Data[:len(s.Data)-tagLen]
 		tag := s.Data[len(s.Data)-tagLen:]
-		if !hmac.Equal(tag, a.tag(s.Index, data)) {
+		if !hmac.Equal(tag, st.tag(s.Index, data)) {
 			return nil, fmt.Errorf("%w: index %d", ErrShareForged, s.Index)
 		}
-		stripped[i] = Share{Index: s.Index, Data: data}
+		st.stripped[i] = Share{Index: s.Index, Data: data}
 	}
-	return CombineInto(a.inner, dst, stripped[:len(shares)], k, m)
+	return CombineInto(a.inner, dst, st.stripped, k, m)
 }
 
 // SplitSharesInto implements IntoScheme by dispatching on (k, m).

@@ -2,7 +2,9 @@ package sharing
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -171,10 +173,16 @@ func (o opaqueScheme) Combine(shares []Share, k, m int) ([]byte, error) {
 	return o.inner.Combine(shares, k, m)
 }
 
-// TestSteadyStateAllocs pins the zero-allocation steady state for the
-// replication and XOR fast paths and the O(1) Shamir budget.
+// TestSteadyStateAllocs pins the zero-allocation steady state of every
+// hot-path scheme: replication, XOR, Shamir (coefficient block and share
+// headers pooled) and authenticated Shamir (keyed MAC state pooled), with a
+// fixed io.Reader so no DRBG refill is in the count.
 func TestSteadyStateAllocs(t *testing.T) {
 	secret := bytes.Repeat([]byte{0x7e}, 1400)
+	auth, err := NewAuthenticated(NewShamir(rand.New(rand.NewSource(4))), []byte("alloc pin key"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name     string
 		scheme   IntoScheme
@@ -183,7 +191,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}{
 		{"replication", NewAuto(rand.New(rand.NewSource(1))), 1, 3, 0},
 		{"xor", NewAuto(rand.New(rand.NewSource(2))), 3, 3, 0},
-		{"shamir", NewAuto(rand.New(rand.NewSource(3))), 3, 5, 2},
+		{"shamir", NewAuto(rand.New(rand.NewSource(3))), 3, 5, 0},
+		{"authenticated-shamir-3of5", auth, 3, 5, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,6 +223,57 @@ func TestSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSchemesConcurrentCallers drives one *Authenticated and one *Shamir
+// from eight goroutines at once, as the receiver's reader goroutines do with
+// CombineInto: the pooled MAC states, share headers and coefficient blocks
+// must stay one per caller. Every round trip must return the caller's own
+// bytes and every tampered tag must be refused. Run under -race.
+func TestSchemesConcurrentCallers(t *testing.T) {
+	const goroutines, rounds = 8, 2000
+	plain := NewShamir(nil) // the shared DRBG pool: a concurrency-safe source
+	auth, err := NewAuthenticated(plain, []byte("concurrent callers"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			secret := bytes.Repeat([]byte{byte(g + 1)}, 64+g)
+			var authShares, plainShares []Share
+			var dst []byte
+			for r := 0; r < rounds; r++ {
+				secret[r%len(secret)] = byte(r)
+				var err error
+				if authShares, err = auth.SplitSharesInto(secret, 3, 5, authShares); err != nil {
+					t.Error(err)
+					return
+				}
+				if dst, err = auth.CombineInto(dst, authShares[r%3:r%3+3], 3, 5); err != nil || !bytes.Equal(dst, secret) {
+					t.Errorf("goroutine %d round %d: authenticated round trip: %x, %v", g, r, dst, err)
+					return
+				}
+				forged := authShares[r%5].Data
+				forged[len(forged)-1-r%tagLen] ^= 0x40
+				if _, err = auth.CombineInto(dst, authShares, 3, 5); !errors.Is(err, ErrShareForged) {
+					t.Errorf("goroutine %d round %d: tampered tag: %v, want ErrShareForged", g, r, err)
+					return
+				}
+				if plainShares, err = plain.SplitSharesInto(secret, 3, 5, plainShares); err != nil {
+					t.Error(err)
+					return
+				}
+				if dst, err = plain.CombineInto(dst, plainShares[2:], 3, 5); err != nil || !bytes.Equal(dst, secret) {
+					t.Errorf("goroutine %d round %d: shamir round trip: %x, %v", g, r, dst, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func BenchmarkSplitSharesInto(b *testing.B) {

@@ -487,6 +487,14 @@ func (l *Listener) countRecv(i, n int) {
 	l.metRecvBytes[i].Add(int64(n))
 }
 
+// recvBufBytes is the socket receive buffer Listen asks for. The kernel's
+// default (208 KiB on linux) holds a dozen 16 KiB share datagrams or some
+// ninety MTU-sized ones, less than one sender window plus the surplus shares
+// of symbols already delivered, so a reader goroutine that loses the CPU for
+// a moment loses shares with it. The kernel clamps the request to
+// net.core.rmem_max.
+const recvBufBytes = 4 << 20
+
 // Listen binds one UDP socket per address. Addresses may use port 0 to let
 // the kernel pick; Addrs reports the bound addresses for the sender to
 // dial.
@@ -506,6 +514,7 @@ func Listen(addrs []string) (*Listener, error) {
 			l.Close()
 			return nil, fmt.Errorf("udptrans: listening on %q: %w", a, err)
 		}
+		_ = conn.SetReadBuffer(recvBufBytes) // best effort: a refusal leaves the default, which works
 		rc, rerr := conn.SyscallConn()
 		if rerr != nil {
 			rc = nil // portable batched reads only for this socket
