@@ -33,7 +33,13 @@ type evictionHarness struct {
 	delivered map[uint64]int // deliveries per seq
 }
 
+// newEvictionHarness builds the pair with one reassembly shard, where
+// eviction order is the global oldest-first most tests below pin.
 func newEvictionHarness(t *testing.T, k, m, maxPending int) *evictionHarness {
+	return newShardedEvictionHarness(t, k, m, maxPending, 1)
+}
+
+func newShardedEvictionHarness(t *testing.T, k, m, maxPending, shards int) *evictionHarness {
 	t.Helper()
 	h := &evictionHarness{t: t, delivered: make(map[uint64]int)}
 	scheme := sharing.NewAuto(rand.New(rand.NewSource(7)))
@@ -58,7 +64,7 @@ func newEvictionHarness(t *testing.T, k, m, maxPending int) *evictionHarness {
 		Clock:      clock,
 		Timeout:    100 * time.Millisecond,
 		MaxPending: maxPending,
-		Shards:     1, // eviction tests pin the global oldest-first order and exact FIFO capacity
+		Shards:     shards,
 		Metrics:    obs.NewRegistry(),
 		Trace:      obs.NewTrace(1 << 12),
 		OnSymbol:   func(seq uint64, _ []byte, _ time.Duration) { h.delivered[seq]++ },
@@ -88,66 +94,54 @@ func (h *evictionHarness) send(payload []byte) [][]byte {
 }
 
 // TestTombstoneEvictionLateShares is the regression test for the
-// late-share re-admission bug: a share arriving after its delivered
-// symbol's tombstone has been evicted must count as SharesLate and must
-// not re-open the sequence number — previously it re-admitted the seq and,
-// at k=1, delivered the same symbol twice.
+// late-share re-admission bug (named for the tombstone entry a delivered
+// symbol used to leave behind): a share arriving after its symbol was
+// delivered — at once, or long after the reassembly timeout — must count as
+// SharesLate and must not re-open the sequence number, which at k=1 would
+// deliver the same symbol twice. Delivery itself leaves nothing pending.
 func TestTombstoneEvictionLateShares(t *testing.T) {
 	steps := []struct {
 		name string
 		run  func(t *testing.T, h *evictionHarness, shares [][]byte)
 		want ReceiverStats
-		// wantDeliveries is the expected delivery count for seq 0 after
-		// the step.
-		wantDeliveries int
-		wantPending    int
 	}{
 		{
 			name: "first share delivers",
 			run: func(t *testing.T, h *evictionHarness, shares [][]byte) {
 				h.recv.HandleDatagram(shares[0])
 			},
-			want:           ReceiverStats{SharesReceived: 1, SymbolsDelivered: 1},
-			wantDeliveries: 1,
-			wantPending:    1, // the tombstone
+			want: ReceiverStats{SharesReceived: 1, SymbolsDelivered: 1},
 		},
 		{
-			name: "late share against live tombstone",
+			name: "late share inside the timeout",
 			run: func(t *testing.T, h *evictionHarness, shares [][]byte) {
 				h.now += 10 * time.Millisecond
 				h.recv.HandleDatagram(shares[1])
 			},
-			want:           ReceiverStats{SharesReceived: 1, SharesLate: 1, SymbolsDelivered: 1},
-			wantDeliveries: 1,
-			wantPending:    1,
+			want: ReceiverStats{SharesReceived: 1, SharesLate: 1, SymbolsDelivered: 1},
 		},
 		{
-			name: "tick evicts the tombstone silently",
+			name: "tick after the timeout finds nothing to evict",
 			run: func(t *testing.T, h *evictionHarness, shares [][]byte) {
 				h.now += 200 * time.Millisecond // past the 100ms timeout
 				h.recv.Tick()
 			},
-			// Tombstone eviction is not a symbol loss: SymbolsEvicted stays 0.
-			want:           ReceiverStats{SharesReceived: 1, SharesLate: 1, SymbolsDelivered: 1},
-			wantDeliveries: 1,
-			wantPending:    0,
+			want: ReceiverStats{SharesReceived: 1, SharesLate: 1, SymbolsDelivered: 1},
 		},
 		{
-			name: "straggler after tombstone eviction is late, not re-admitted",
+			name: "straggler after the timeout is late, not re-admitted",
 			run: func(t *testing.T, h *evictionHarness, shares [][]byte) {
 				h.now += time.Millisecond
 				h.recv.HandleDatagram(shares[2])
 				// And again: every straggler counts late, none re-admits.
 				h.recv.HandleDatagram(shares[2])
 			},
-			want:           ReceiverStats{SharesReceived: 1, SharesLate: 3, SymbolsDelivered: 1},
-			wantDeliveries: 1,
-			wantPending:    0,
+			want: ReceiverStats{SharesReceived: 1, SharesLate: 3, SymbolsDelivered: 1},
 		},
 	}
 
 	h := newEvictionHarness(t, 1, 3, 16)
-	shares := h.send([]byte("tombstone-symbol"))
+	shares := h.send([]byte("delivered-symbol"))
 	if len(shares) != 3 {
 		t.Fatalf("captured %d shares, want 3", len(shares))
 	}
@@ -156,11 +150,11 @@ func TestTombstoneEvictionLateShares(t *testing.T) {
 		if got := h.recv.Stats(); got != step.want {
 			t.Fatalf("%s: stats %+v, want %+v", step.name, got, step.want)
 		}
-		if got := h.delivered[0]; got != step.wantDeliveries {
-			t.Fatalf("%s: seq 0 delivered %d times, want %d", step.name, got, step.wantDeliveries)
+		if got := h.delivered[0]; got != 1 {
+			t.Fatalf("%s: seq 0 delivered %d times, want 1", step.name, got)
 		}
-		if got := h.recv.Pending(); got != step.wantPending {
-			t.Fatalf("%s: pending %d, want %d", step.name, got, step.wantPending)
+		if got := h.recv.Pending(); got != 0 {
+			t.Fatalf("%s: pending %d, want 0", step.name, got)
 		}
 	}
 	// The delivery must have been traced exactly once.
@@ -172,7 +166,7 @@ func TestTombstoneEvictionLateShares(t *testing.T) {
 // TestIncompleteEvictionStillReadmits pins the complementary behavior: an
 // INCOMPLETE symbol evicted by timeout counts as SymbolsEvicted, and a
 // fresh set of shares for that sequence number may still complete it (only
-// delivered symbols are remembered in the closed set).
+// delivered symbols are remembered by the replay window).
 func TestIncompleteEvictionStillReadmits(t *testing.T) {
 	h := newEvictionHarness(t, 2, 3, 16)
 	shares := h.send([]byte("incomplete-symbol"))
@@ -201,107 +195,120 @@ func TestIncompleteEvictionStillReadmits(t *testing.T) {
 	}
 }
 
-// TestClosedMemoryIsBounded fills the closed-symbol memory past its
-// capacity (closedMemoryFactor × MaxPending) and checks both directions:
-// recently closed seqs are still refused, while the oldest remembered seq
-// has been forgotten (bounded memory, graceful degradation to the old
-// re-admission behavior).
+// TestClosedMemoryIsBounded delivers one symbol more than the replay window
+// (closedMemoryFactor × MaxPending seqs) spans and checks both of its edges:
+// the newest seq is refused by its bit, and the oldest, whose bit the window
+// no longer holds, is refused for lying behind it. The memory is bounded and
+// nothing it forgets is ever admitted again.
 func TestClosedMemoryIsBounded(t *testing.T) {
 	const maxPending = 4
-	capacity := closedMemoryFactor * maxPending
+	span := closedMemoryFactor * maxPending
 	h := newEvictionHarness(t, 1, 3, maxPending)
+	if got := 8 * len(h.recv.shards[0].window); got != (span+63)/64*8 {
+		t.Fatalf("window is %d bytes for a span of %d seqs", got, span)
+	}
 
-	// Deliver and evict capacity+1 symbols, so seq 0 falls out of the
-	// closed memory.
-	all := make([][][]byte, capacity+1)
+	all := make([][][]byte, span+1)
 	for i := range all {
 		all[i] = h.send([]byte{byte(i)})
 		h.recv.HandleDatagram(all[i][0])
 		h.now += 200 * time.Millisecond
 		h.recv.Tick()
 	}
-	st := h.recv.Stats()
-	if int(st.SymbolsDelivered) != capacity+1 {
-		t.Fatalf("delivered %d, want %d", st.SymbolsDelivered, capacity+1)
+	if st := h.recv.Stats(); int(st.SymbolsDelivered) != span+1 {
+		t.Fatalf("delivered %d, want %d", st.SymbolsDelivered, span+1)
 	}
 
-	// The newest closed seq is refused...
-	h.recv.HandleDatagram(all[capacity][1])
+	h.recv.HandleDatagram(all[span][1])
 	if got := h.recv.Stats().SharesLate; got != 1 {
-		t.Fatalf("straggler for remembered seq: SharesLate %d, want 1", got)
+		t.Fatalf("straggler for the newest seq: SharesLate %d, want 1", got)
 	}
-	// ...but the oldest was forgotten and re-admits (and, at k=1,
-	// re-delivers — the bounded-memory tradeoff).
 	h.recv.HandleDatagram(all[0][1])
-	st = h.recv.Stats()
-	if int(st.SymbolsDelivered) != capacity+2 {
-		t.Fatalf("forgotten seq did not re-admit: %+v", st)
+	if st := h.recv.Stats(); st.SharesLate != 2 || int(st.SymbolsDelivered) != span+1 || h.delivered[0] != 1 {
+		t.Fatalf("straggler for the seq behind the window: %+v, seq 0 delivered %d times; want it late", st, h.delivered[0])
 	}
 }
 
-// TestClosedMemoryGrowsToItsLimit pins the closed memory's storage: nothing
-// is reserved up front, the ring grows with the seqs it remembers, stops at
-// closedMemoryFactor × MaxPending, and from there on each new seq overwrites
-// the oldest.
-func TestClosedMemoryGrowsToItsLimit(t *testing.T) {
-	const maxPending = 4
-	capacity := closedMemoryFactor * maxPending
-	h := newEvictionHarness(t, 1, 3, maxPending)
-	sh := &h.recv.shards[0]
-	if len(sh.closedFIFO) != 0 || len(sh.closed) != 0 {
-		t.Fatalf("fresh receiver remembers %d/%d closed seqs, want none", len(sh.closedFIFO), len(sh.closed))
-	}
-	for i := 0; i <= capacity; i++ {
-		h.recv.HandleDatagram(h.send([]byte{byte(i)})[0])
-		h.now += 200 * time.Millisecond
-		h.recv.Tick()
-		want := i + 1
-		if want > capacity {
-			want = capacity
+// TestReplayedSymbolIsNeverRedelivered is the channel-owning adversary's
+// cheapest attack on deliver-once: record every datagram of one symbol, wait
+// until the receiver has moved far past it, play the recording back. Before
+// the replay window the closed-seq FIFO had forgotten seq 0 by then and the
+// symbol was delivered a second time.
+func TestReplayedSymbolIsNeverRedelivered(t *testing.T) {
+	const k, m, maxPending = 3, 5, 8
+	for _, shards := range []int{1, 2} {
+		h := newShardedEvictionHarness(t, k, m, maxPending, shards)
+		recording := h.send([]byte("recorded once"))
+		for _, d := range recording {
+			h.recv.HandleDatagram(d)
 		}
-		if len(sh.closedFIFO) != want || len(sh.closed) != want {
-			t.Fatalf("after %d closes: ring %d, set %d, want %d", i+1, len(sh.closedFIFO), len(sh.closed), want)
+		for i := 0; i < 5*maxPending; i++ {
+			for _, d := range h.send([]byte{byte(i)}) {
+				h.recv.HandleDatagram(d)
+			}
+			h.now += 200 * time.Millisecond
 		}
-	}
-	if _, ok := sh.closed[0]; ok {
-		t.Fatal("seq 0 still remembered after capacity+1 closes")
-	}
-	for seq := uint64(1); seq <= uint64(capacity); seq++ {
-		if _, ok := sh.closed[seq]; !ok {
-			t.Fatalf("seq %d forgotten with only seq 0 due out", seq)
+		before := h.recv.Stats()
+		for _, d := range recording {
+			h.recv.HandleDatagram(d)
+		}
+		after := h.recv.Stats()
+		if after.SharesLate != before.SharesLate+m || after.SymbolsDelivered != before.SymbolsDelivered ||
+			after.SharesReceived != before.SharesReceived || h.delivered[0] != 1 || h.recv.Pending() != 0 {
+			t.Fatalf("shards=%d: replay moved %+v to %+v (seq 0 delivered %d times, pending %d); want %d more late shares and nothing else",
+				shards, before, after, h.delivered[0], h.recv.Pending(), m)
 		}
 	}
 }
 
-// TestShareBuffersReturnToTheShard follows share payload buffers through
-// their life: owned by the entry while the symbol is incomplete, back on the
-// shard's freelist the moment it is delivered (the tombstone keeps none) or
-// evicted, and never more than maxFreeBufs of them kept.
-func TestShareBuffersReturnToTheShard(t *testing.T) {
-	h := newEvictionHarness(t, 2, 3, 2*maxFreeBufs)
-	sh := &h.recv.shards[0]
-	shares := h.send([]byte("buffer-life"))
-	h.recv.HandleDatagram(shares[0])
-	if e := sh.pending[0]; len(e.shares) != 1 || len(sh.free) != 0 {
-		t.Fatalf("incomplete: entry holds %d shares, freelist %d, want 1 and 0", len(e.shares), len(sh.free))
+// TestPendingCountsOnlyIncompleteSymbols pins what Pending, the pending
+// gauges and MaxPending mean: symbols that hold at least one share and await
+// more. A delivered symbol is not among them, however many were delivered.
+func TestPendingCountsOnlyIncompleteSymbols(t *testing.T) {
+	const k, m, maxPending = 2, 3, 8
+	h := newShardedEvictionHarness(t, k, m, maxPending, 2)
+	gauges := func() (total, shardSum int64) {
+		for _, s := range h.recv.Metrics().Gather() {
+			switch s.Name {
+			case "remicss_receiver_pending":
+				total = s.Value
+			case "remicss_receiver_shard_pending":
+				shardSum += s.Value
+				if s.Value < 0 {
+					t.Fatalf("shard pending gauge reads %d", s.Value)
+				}
+			}
+		}
+		return total, shardSum
 	}
-	h.recv.HandleDatagram(shares[1]) // k reached: delivered
-	h.recv.HandleDatagram(shares[2]) // late against the tombstone: takes no buffer
-	if e := sh.pending[0]; !e.done || len(e.shares) != 0 || len(sh.free) != 2 {
-		t.Fatalf("tombstone: done %v, holds %d shares, freelist %d, want true, 0 and 2", e.done, len(e.shares), len(sh.free))
+	for i := 0; i < 10*maxPending; i++ {
+		for _, d := range h.send([]byte{byte(i)}) {
+			h.recv.HandleDatagram(d)
+		}
 	}
-
-	// One share each of more symbols than the freelist may keep, then time
-	// them all out.
-	for i := 0; i < maxFreeBufs+50; i++ {
-		h.recv.HandleDatagram(h.send([]byte{byte(i)})[0])
+	total, shardSum := gauges()
+	if p := h.recv.Pending(); p != 0 || total != 0 || shardSum != 0 {
+		t.Fatalf("after %d deliveries: Pending %d, gauge %d, shard gauges sum %d; want 0", 10*maxPending, p, total, shardSum)
 	}
-	h.now += 200 * time.Millisecond
-	h.recv.Tick()
-	if got := h.recv.Pending(); got != 0 {
-		t.Fatalf("pending %d after timing everything out", got)
+	// The whole cap is there for incomplete symbols. Shards split it evenly,
+	// so fill each shard to its slice: none may evict.
+	perShard := make(map[*recvShard]int)
+	admitted := 0
+	for admitted < maxPending {
+		first := h.send([]byte("incomplete"))[0]
+		sh := h.recv.shardFor(h.snd.Seq() - 1)
+		if perShard[sh] == maxPending/2 {
+			continue
+		}
+		perShard[sh]++
+		admitted++
+		h.recv.HandleDatagram(first)
 	}
-	if len(sh.free) != maxFreeBufs {
-		t.Fatalf("freelist holds %d buffers after a burst of %d, want the bound %d", len(sh.free), maxFreeBufs+50, maxFreeBufs)
+	total, shardSum = gauges()
+	if p := h.recv.Pending(); p != maxPending || total != maxPending || shardSum != maxPending {
+		t.Fatalf("Pending %d, gauge %d, shard gauges sum %d; want %d", p, total, shardSum, maxPending)
+	}
+	if st := h.recv.Stats(); st.SymbolsEvicted != 0 {
+		t.Fatalf("%d evictions admitting MaxPending incomplete symbols", st.SymbolsEvicted)
 	}
 }

@@ -85,9 +85,9 @@ func TestSendHotPathAllocs(t *testing.T) {
 }
 
 // TestReceiverIngestSteadyStateAllocs checks that reassembly recycles
-// entries through the pool and share payload buffers through the shard
-// freelist: ingesting a stream of fresh symbols settles to the one
-// allocation per symbol the callback owns, the delivered secret.
+// entries, and with them their share payload buffers, through entryPool:
+// ingesting a stream of fresh symbols settles to the one allocation per
+// symbol the callback owns, the delivered secret.
 func TestReceiverIngestSteadyStateAllocs(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x33}, 1400)
 	var now time.Duration
@@ -104,10 +104,8 @@ func TestReceiverIngestSteadyStateAllocs(t *testing.T) {
 	}
 	// Replication shares carry the payload verbatim, so datagrams can be
 	// crafted directly. Each round is one fresh symbol (k=1, m=3): the
-	// first share delivers, the rest are late duplicates. Advancing the
-	// clock past the timeout each round evicts the previous tombstone,
-	// returning its entry to the pool (its buffer went back to the shard at
-	// delivery).
+	// first share delivers, which returns the entry and its buffer to the
+	// pool, and the rest are late against the replay window.
 	var seq uint64
 	var dgram []byte
 	round := func() {
@@ -127,11 +125,11 @@ func TestReceiverIngestSteadyStateAllocs(t *testing.T) {
 		seq++
 	}
 	for i := 0; i < 5; i++ {
-		round() // warm the entry pool and buffer freelist
+		round() // warm entryPool
 	}
 	allocs := testing.AllocsPerRun(100, round)
-	// Budget: the delivered secret handed to the callback, and one for an
-	// entry-pool miss after a GC — nothing per share, nothing for the order.
+	// Budget: the delivered secret handed to the callback, and one to spare
+	// — nothing per share, nothing for the order, nothing for the window.
 	if allocs > 2 {
 		t.Errorf("ingest allocates %v times per symbol, want <= 2", allocs)
 	}
@@ -166,5 +164,41 @@ func BenchmarkSendHotPath(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestScratchDropsOversizedBurstBuffers checks the bound on what a scratch
+// carries back into the process-wide pool: a burst whose marshal buffers
+// total more than maxScratchBytes leaves none of them behind, an ordinary
+// burst keeps its buffers for the next.
+func TestScratchDropsOversizedBurstBuffers(t *testing.T) {
+	// held is the most marshal buffer any pooled scratch carries.
+	held := func() (most int) {
+		for i := range sendScratchPool.slots {
+			if sc := sendScratchPool.slots[i].Load(); sc != nil {
+				total := 0
+				for _, b := range sc.bufs {
+					total += cap(b)
+				}
+				most = max(most, total)
+			}
+		}
+		return most
+	}
+	s := hotPathSender(t, 1, 5, sharing.NewAuto(rand.New(rand.NewSource(1))))
+	burst := func(size int) {
+		t.Helper()
+		payloads := [][]byte{make([]byte, size), make([]byte, size), make([]byte, size), make([]byte, size)}
+		if n, err := s.SendBatch(payloads); n != len(payloads) || err != nil {
+			t.Fatalf("SendBatch sent %d of %d: %v", n, len(payloads), err)
+		}
+	}
+	burst(1400)
+	if got := held(); got < 4*5*1400 || got > maxScratchBytes {
+		t.Fatalf("after an MTU burst the scratch holds %d B of marshal buffer, want the burst's %d B kept", got, 4*5*1400)
+	}
+	burst(60 << 10) // 4 symbols × 5 replicas × 60 KiB > 1 MiB
+	if got := held(); got > maxScratchBytes {
+		t.Fatalf("after a %d B burst a scratch still holds %d B of marshal buffer, want at most %d", 4*5*60<<10, got, maxScratchBytes)
 	}
 }

@@ -169,7 +169,7 @@ func TestObservabilityStress(t *testing.T) {
 		t.Errorf("SymbolsDelivered %d (callback %d), want %d", rst.SymbolsDelivered, delivered.Load(), total)
 	}
 	// Every share either completed a symbol (k per symbol) or arrived late
-	// against the tombstone (m-k per symbol).
+	// against the replay window (m-k per symbol).
 	if rst.SharesReceived != int64(2*total) || rst.SharesLate != int64(total) {
 		t.Errorf("SharesReceived %d SharesLate %d, want %d and %d", rst.SharesReceived, rst.SharesLate, 2*total, total)
 	}

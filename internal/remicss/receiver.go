@@ -20,15 +20,9 @@ const (
 	DefaultMaxPending        = 4096
 )
 
-// closedMemoryFactor sizes the closed-symbol memory (see recvShard.closed)
-// as a multiple of MaxPending.
+// closedMemoryFactor sizes the replay window (see recvShard.top) as a
+// multiple of MaxPending.
 const closedMemoryFactor = 4
-
-// maxFreeBufs bounds each shard's freelist of share payload buffers. Only
-// buffers that were in use at once can ever be on it, so the bound matters
-// after a burst: what a shard keeps from its deepest backlog is capped at
-// this many buffers, the rest goes to the collector.
-const maxFreeBufs = 256
 
 // ReceiverStats counts receiver-side activity. It is a point-in-time
 // snapshot assembled from the receiver's metric registry; the registry
@@ -43,9 +37,10 @@ type ReceiverStats struct {
 	SharesInvalid int64
 	// SharesDuplicate counts shares for an index already held.
 	SharesDuplicate int64
-	// SharesLate counts shares for symbols already delivered or evicted,
-	// including shares arriving after their symbol's reassembly entry was
-	// itself evicted (the closed-symbol memory).
+	// SharesLate counts shares the replay window refused: their symbol was
+	// already delivered, or its seq lies closedMemoryFactor × MaxPending or
+	// more behind the highest delivered. A share of an evicted incomplete
+	// symbol is not late: it re-admits the seq.
 	SharesLate int64
 	// SymbolsDelivered counts symbols reconstructed and handed to the
 	// callback.
@@ -76,8 +71,10 @@ type ReceiverConfig struct {
 	// Timeout evicts partial symbols idle longer than this. Defaults to
 	// DefaultReassemblyTimeout.
 	Timeout time.Duration
-	// MaxPending bounds the number of symbols (complete or partial) held.
-	// Oldest entries are evicted first. Defaults to DefaultMaxPending.
+	// MaxPending bounds the number of incomplete symbols held (a delivered
+	// symbol holds nothing); the oldest are evicted first. It also sets the
+	// replay horizon, closedMemoryFactor × MaxPending seqs. Defaults to
+	// DefaultMaxPending.
 	MaxPending int
 	// Metrics receives the receiver's counters, delay histogram, and
 	// pending gauge. Nil gives the receiver a private registry; Stats and
@@ -145,10 +142,10 @@ const maxReceiverShards = 64
 //
 // Steady-state ingest allocates once per symbol, the reconstructed secret,
 // which the callback owns. A share's payload is copied out of the transport's
-// datagram into a buffer taken from its shard's freelist; the buffer belongs
-// to the symbol's entry until the symbol is delivered, fails to combine or is
-// evicted, and at that moment goes back to the shard's freelist — a
-// tombstone holds none. Entries themselves cycle through a sync.Pool.
+// datagram into a buffer its symbol's entry owns. The entry leaves the shard
+// the moment the symbol is delivered, fails to combine or is evicted, taking
+// its buffers into the process-wide entryPool, where the next symbol of
+// any receiver overwrites them; of a delivered symbol a shard keeps one bit.
 type Receiver struct {
 	cfg   ReceiverConfig
 	met   receiverMetrics
@@ -185,23 +182,14 @@ type recvShard struct {
 	oldest  *entry            // guarded by mu
 	newest  *entry            // guarded by mu
 
-	// free holds share payload buffers no entry owns, at most maxFreeBufs
-	// of them.
-	free [][]byte // guarded by mu //remicss:secret
-
-	// closed remembers recently evicted tombstones (symbols already
-	// delivered or failed) so a straggler share cannot reopen its
-	// sequence number and — for thresholds met again — deliver the same
-	// symbol twice. Bounded FIFO: closedFIFO holds the remembered seqs in
-	// insertion order and grows on demand to closedLimit of them;
-	// closedHead is the next overwrite position once the ring is full.
-	closed     map[uint64]struct{} // guarded by mu
-	closedFIFO []uint64            // guarded by mu
-	closedHead int                 // guarded by mu
-
-	// closedLimit is closedMemoryFactor × maxPending; read-only after
-	// construction.
-	closedLimit int
+	// The anti-replay window of RFC 4303 §3.4.3 over this shard's seqs: top
+	// is the highest seq delivered here, window one bit for each of the span
+	// seqs ending at top (bit seq mod span), set once that seq is delivered.
+	// Only a successful combine moves either. span is closedMemoryFactor ×
+	// MaxPending; read-only after construction.
+	top    uint64   // guarded by mu
+	window []uint64 // guarded by mu
+	span   uint64
 
 	// maxPending is this shard's slice of ReceiverConfig.MaxPending
 	// (ceiling division); read-only after construction.
@@ -220,55 +208,60 @@ type recvShard struct {
 	_ [64]byte
 }
 
-// entry is one symbol being reassembled. It owns the payload buffers of the
-// shares it holds. A delivered (or combine-failed) symbol keeps its entry as
-// a tombstone — done true, no shares, no buffers — until eviction, so that
-// late duplicate shares are classified correctly. prev and next link the
-// shard's admission order. Entries live in entryPool.
+// entry is one incomplete symbol, in its shard's pending map from its first
+// share until it is delivered, fails to combine or is evicted; prev and next
+// link the shard's admission order. The payload buffers behind shares, in
+// use or spare, are the entry's own and go with it through entryPool:
+// until a share overwrites one, it holds share bytes of whichever session of
+// this process had the entry last.
 type entry struct {
 	seq        uint64
 	k, m       int
 	sentAt     int64
-	arrived    time.Duration // first-share arrival, for timeout eviction
-	shares     []sharing.Share
-	haveIdx    uint32 // bitmask of share indices held; ingest bounds Index < M ≤ maxLinks
-	done       bool
-	prev, next *entry // toward oldest, toward newest
+	arrived    time.Duration   // first-share arrival, for timeout eviction
+	shares     []sharing.Share //remicss:secret
+	haveIdx    uint32          // bitmask of share indices held; ingest bounds Index < M ≤ maxLinks
+	prev, next *entry          // toward oldest, toward newest
 }
 
-// entryPool recycles reassembly entries (and the backing arrays of their
-// share lists) across symbols and across receivers.
-var entryPool = sync.Pool{New: func() any { return new(entry) }}
+// entryPool recycles reassembly entries, with their share buffers, across
+// symbols and across every receiver in the process.
+var entryPool = slotPool[entry]{pool: sync.Pool{New: func() any { return new(entry) }}}
 
-// grabBuf returns an n-byte buffer, reusing the shard's freelist when its
-// top buffer has enough capacity.
+// bit locates seq's bit in the replay window.
 //
 //lint:allow mutexguard callers hold sh.mu
-func (sh *recvShard) grabBuf(n int) []byte {
-	if last := len(sh.free) - 1; last >= 0 {
-		b := sh.free[last]
-		sh.free[last] = nil
-		sh.free = sh.free[:last]
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
+func (sh *recvShard) bit(seq uint64) (word *uint64, mask uint64) {
+	i := seq % sh.span
+	return &sh.window[i/64], 1 << (i % 64)
 }
 
-// recycleShares hands every share buffer e holds back to the shard's
-// freelist (dropping what does not fit under maxFreeBufs) and resets the
-// share list.
+// refuses reports whether the replay window refuses seq: delivered already,
+// or so far behind top that the window no longer tells.
 //
 //lint:allow mutexguard callers hold sh.mu
-func (sh *recvShard) recycleShares(e *entry) {
-	for i := range e.shares {
-		if len(sh.free) < maxFreeBufs {
-			sh.free = append(sh.free, e.shares[i].Data)
-		}
-		e.shares[i].Data = nil
+func (sh *recvShard) refuses(seq uint64) bool {
+	word, mask := sh.bit(seq)
+	return seq <= sh.top && (sh.top-seq >= sh.span || *word&mask != 0)
+}
+
+// markDelivered sets seq's bit, after moving top up to seq and clearing the
+// bit of every seq that thereby enters the window: it is the bit of one that
+// leaves. The caller has checked !refuses(seq).
+//
+//lint:allow mutexguard callers hold sh.mu
+func (sh *recvShard) markDelivered(seq uint64) {
+	if seq > sh.top && seq-sh.top >= sh.span {
+		clear(sh.window)
+		sh.top = seq
 	}
-	e.shares = e.shares[:0]
+	for sh.top < seq {
+		sh.top++
+		word, mask := sh.bit(sh.top)
+		*word &^= mask
+	}
+	word, mask := sh.bit(seq)
+	*word |= mask
 }
 
 // pushNewest appends e to the shard's admission order.
@@ -346,8 +339,8 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.pending = make(map[uint64]*entry)
-		sh.closed = make(map[uint64]struct{})
-		sh.closedLimit = closedMemoryFactor * perShard
+		sh.span = uint64(closedMemoryFactor * cfg.MaxPending)
+		sh.window = make([]uint64, (sh.span+63)/64)
 		sh.maxPending = perShard
 		label := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
 		sh.depth = reg.Gauge("remicss_receiver_shard_pending", label)
@@ -384,8 +377,8 @@ func (r *Receiver) Stats() ReceiverStats {
 	}
 }
 
-// Pending returns the number of reassembly entries held across all shards
-// (including delivered tombstones awaiting timeout).
+// Pending returns the number of incomplete symbols held across all shards:
+// those with at least one share and fewer than k, not yet timed out.
 func (r *Receiver) Pending() int {
 	n := 0
 	for i := range r.shards {
@@ -443,32 +436,25 @@ func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duratio
 
 	r.evictExpired(sh, now)
 
+	if sh.refuses(pkt.Seq) {
+		// Checked before the lookup: an incomplete symbol the window has
+		// overtaken takes no more shares and leaves by timeout.
+		r.met.sharesLate.Inc()
+		return nil, 0, false
+	}
 	e, exists := sh.pending[pkt.Seq]
 	if !exists {
-		if _, wasClosed := sh.closed[pkt.Seq]; wasClosed {
-			// The symbol's tombstone has already been evicted; reopening
-			// the sequence would deliver the symbol a second time once k
-			// stray shares accumulate. Count the straggler as late.
-			r.met.sharesLate.Inc()
-			return nil, 0, false
-		}
 		r.admit(sh)
-		e = entryPool.Get().(*entry)
+		e = entryPool.get()
 		e.seq = pkt.Seq
 		e.k, e.m = int(pkt.K), int(pkt.M)
 		e.sentAt = pkt.SentAt
 		e.arrived = now
 		e.haveIdx = 0
-		e.done = false
 		sh.pushNewest(e)
 		sh.pending[pkt.Seq] = e
 		r.met.pending.Add(1)
 		sh.depth.Set(int64(len(sh.pending)))
-	}
-
-	if e.done {
-		r.met.sharesLate.Inc()
-		return nil, 0, false
 	}
 	if int(pkt.K) != e.k || int(pkt.M) != e.m {
 		// Shares of one symbol must agree on parameters; the first share
@@ -481,9 +467,14 @@ func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duratio
 		return nil, 0, false
 	}
 	e.haveIdx |= 1 << uint(pkt.Index)
-	data := sh.grabBuf(len(pkt.Payload))
-	copy(data, pkt.Payload)
-	e.shares = append(e.shares, sharing.Share{Index: int(pkt.Index), Data: data})
+	// The copy goes into the buffer the last symbol here left, if it fits.
+	n := len(e.shares)
+	if n == cap(e.shares) {
+		e.shares = append(e.shares, sharing.Share{})
+	}
+	e.shares = e.shares[:n+1]
+	e.shares[n].Index = int(pkt.Index)
+	e.shares[n].Data = append(e.shares[n].Data[:0], pkt.Payload...)
 	r.met.sharesReceived.Inc()
 
 	if len(e.shares) < e.k {
@@ -493,18 +484,16 @@ func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duratio
 	// ownership transfers to the callback (downstream consumers such as
 	// stream.Orderer retain payloads).
 	secret, err := sharing.CombineInto(r.cfg.Scheme, nil, e.shares, e.k, e.m)
+	delay := now - time.Duration(e.sentAt)
+	r.remove(sh, e)
 	if err != nil {
+		// Nothing is remembered: the shares that failed may have been
+		// forged, and the honest ones still to come may complete the symbol.
 		r.met.combineFailures.Inc()
-		// Leave the entry; a later consistent share set cannot form since
-		// indices are unique, so mark done to stop retrying.
-		e.done = true
-		sh.recycleShares(e)
 		return nil, 0, false
 	}
-	e.done = true
-	sh.recycleShares(e)
+	sh.markDelivered(pkt.Seq)
 	r.met.symbolsDeliv.Inc()
-	delay := now - time.Duration(e.sentAt)
 	r.met.delay.Observe(int64(delay))
 	return secret, delay, true
 }
@@ -521,13 +510,12 @@ func (r *Receiver) Tick() {
 	}
 }
 
-// evictExpired drops the shard's entries older than the timeout (oldest
-// first).
+// evictExpired evicts the shard's symbols older than the timeout, oldest first.
 //
 //lint:allow mutexguard callers hold sh.mu
 func (r *Receiver) evictExpired(sh *recvShard, now time.Duration) {
 	for e := sh.oldest; e != nil && now-e.arrived >= r.cfg.Timeout; e = sh.oldest {
-		r.drop(sh, e, now)
+		r.evict(sh, e, now)
 	}
 }
 
@@ -537,44 +525,27 @@ func (r *Receiver) evictExpired(sh *recvShard, now time.Duration) {
 //lint:allow mutexguard callers hold sh.mu
 func (r *Receiver) admit(sh *recvShard) {
 	for len(sh.pending) >= sh.maxPending {
-		r.drop(sh, sh.oldest, sh.oldest.arrived+r.cfg.Timeout)
+		r.evict(sh, sh.oldest, sh.oldest.arrived+r.cfg.Timeout)
 	}
 }
 
-// rememberClosed records a tombstone's sequence number in the shard's
-// bounded closed-symbol memory, evicting the oldest remembered seq once
-// the ring is full.
-//
-//lint:allow mutexguard callers hold sh.mu
-func (sh *recvShard) rememberClosed(seq uint64) {
-	if len(sh.closedFIFO) < sh.closedLimit {
-		sh.closedFIFO = append(sh.closedFIFO, seq)
-	} else {
-		delete(sh.closed, sh.closedFIFO[sh.closedHead])
-		sh.closedFIFO[sh.closedHead] = seq
-		sh.closedHead = (sh.closedHead + 1) % len(sh.closedFIFO)
-	}
-	sh.closed[seq] = struct{}{}
+// evict gives up on one incomplete symbol: counted, traced at now, not
+// remembered, so later shares may admit its seq again.
+func (r *Receiver) evict(sh *recvShard, e *entry, now time.Duration) {
+	r.met.symbolsEvicted.Inc()
+	sh.evictions.Inc()
+	r.trace.Record(obs.EventSymbolEvicted, -1, now, e.seq, int64(len(e.shares)))
+	r.remove(sh, e)
 }
 
-// drop removes one reassembly entry from its shard and recycles it. now is
-// the eviction timestamp for trace purposes.
+// remove takes one entry out of its shard and pools it, buffers and all.
 //
 //lint:allow mutexguard callers hold sh.mu
-func (r *Receiver) drop(sh *recvShard, e *entry, now time.Duration) {
+func (r *Receiver) remove(sh *recvShard, e *entry) {
 	sh.unlink(e)
 	delete(sh.pending, e.seq)
-	if e.done {
-		// Delivered (or combine-failed) symbols must never be re-admitted
-		// by stragglers; remember the closed seq.
-		sh.rememberClosed(e.seq)
-	} else {
-		r.met.symbolsEvicted.Inc()
-		sh.evictions.Inc()
-		r.trace.Record(obs.EventSymbolEvicted, -1, now, e.seq, int64(len(e.shares)))
-	}
 	r.met.pending.Add(-1)
 	sh.depth.Set(int64(len(sh.pending)))
-	sh.recycleShares(e)
-	entryPool.Put(e)
+	e.shares = e.shares[:0]
+	entryPool.put(e)
 }

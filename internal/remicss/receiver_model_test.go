@@ -2,7 +2,9 @@ package remicss
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,30 +14,32 @@ import (
 )
 
 // modelReceiver is the reassembly specification the real Receiver is held
-// to: plain maps and slices, no pooling, no freelists, no rings. The first
-// share of a seq fixes (k, m); each seq keeps the set of indices it holds;
-// a seq that reached k shares is done (delivered or combine-failed) and
-// stays pending as a tombstone; entries leave oldest-first, by timeout on
-// their first share's arrival or under the per-shard cap; a done seq that
-// leaves is remembered in a bounded FIFO so stragglers cannot reopen it.
-// Timeout eviction is per shard and lazy (on ingest to that shard, or on
-// Tick), as in the receiver, so every counter can be compared after every
-// datagram rather than only at quiescence.
+// to: plain maps and slices, no pooling, no rings, no bitmaps. The first
+// share of a seq fixes (k, m); each seq keeps the set of indices it holds; a
+// seq that reaches k shares leaves at once, delivered or — when the shares do
+// not combine — forgotten; incomplete seqs leave oldest-first, by timeout on
+// their first share's arrival or under the per-shard cap, and are forgotten
+// too. What is remembered is every seq ever delivered, exactly and for good,
+// and per shard the highest of them, top: a share is late when its seq was
+// delivered or lies span or more behind top. Timeout eviction is per shard
+// and lazy (on ingest to that shard, or on Tick), as in the receiver, so
+// every counter can be compared after every datagram rather than only at
+// quiescence.
 type modelReceiver struct {
 	scheme   sharing.Scheme
 	timeout  time.Duration
 	perShard int
+	span     uint64 // closedMemoryFactor × MaxPending
 	shards   []modelShard
 	stats    ReceiverStats
-	forgot   map[uint64]bool // done seqs the closed memory has dropped
 	deliver  func(seq uint64, secret []byte)
 }
 
 type modelShard struct {
-	entries     map[uint64]*modelEntry
-	order       []uint64 // admission order, oldest first
-	closed      map[uint64]bool
-	closedOrder []uint64 // oldest first, at most closedMemoryFactor × perShard
+	entries   map[uint64]*modelEntry
+	order     []uint64 // admission order, oldest first
+	delivered map[uint64]bool
+	top       uint64 // highest delivered seq, 0 before the first
 }
 
 type modelEntry struct {
@@ -43,7 +47,6 @@ type modelEntry struct {
 	arrived time.Duration
 	have    map[int]bool
 	shares  []sharing.Share // arrival order
-	done    bool
 }
 
 func newModelReceiver(scheme sharing.Scheme, timeout time.Duration, maxPending, shards int, deliver func(uint64, []byte)) *modelReceiver {
@@ -51,13 +54,13 @@ func newModelReceiver(scheme sharing.Scheme, timeout time.Duration, maxPending, 
 		scheme:   scheme,
 		timeout:  timeout,
 		perShard: (maxPending + shards - 1) / shards,
+		span:     uint64(closedMemoryFactor * maxPending),
 		shards:   make([]modelShard, shards),
-		forgot:   make(map[uint64]bool),
 		deliver:  deliver,
 	}
 	for i := range m.shards {
 		m.shards[i].entries = make(map[uint64]*modelEntry)
-		m.shards[i].closed = make(map[uint64]bool)
+		m.shards[i].delivered = make(map[uint64]bool)
 	}
 	return m
 }
@@ -70,24 +73,21 @@ func (m *modelReceiver) pending() int {
 	return n
 }
 
-// evictOldest removes the shard's oldest entry: an incomplete symbol is a
-// loss, a done one moves into the closed memory.
-func (m *modelReceiver) evictOldest(sh *modelShard) {
-	seq := sh.order[0]
-	sh.order = sh.order[1:]
-	done := sh.entries[seq].done
+// forget removes seq from the shard's incomplete symbols.
+func (sh *modelShard) forget(seq uint64) {
 	delete(sh.entries, seq)
-	if !done {
-		m.stats.SymbolsEvicted++
-		return
+	for i, s := range sh.order {
+		if s == seq {
+			sh.order = slices.Delete(sh.order, i, i+1)
+			return
+		}
 	}
-	if len(sh.closedOrder) == closedMemoryFactor*m.perShard {
-		delete(sh.closed, sh.closedOrder[0])
-		m.forgot[sh.closedOrder[0]] = true
-		sh.closedOrder = sh.closedOrder[1:]
-	}
-	sh.closed[seq] = true
-	sh.closedOrder = append(sh.closedOrder, seq)
+}
+
+// evictOldest gives up on the shard's oldest incomplete symbol.
+func (m *modelReceiver) evictOldest(sh *modelShard) {
+	sh.forget(sh.order[0])
+	m.stats.SymbolsEvicted++
 }
 
 func (m *modelReceiver) expire(sh *modelShard, now time.Duration) {
@@ -110,12 +110,12 @@ func (m *modelReceiver) handle(buf []byte, now time.Duration) {
 	}
 	sh := &m.shards[shardix.Index(pkt.Seq, uint64(len(m.shards)-1))]
 	m.expire(sh, now)
+	if sh.delivered[pkt.Seq] || (pkt.Seq <= sh.top && sh.top-pkt.Seq >= m.span) {
+		m.stats.SharesLate++
+		return
+	}
 	e := sh.entries[pkt.Seq]
 	if e == nil {
-		if sh.closed[pkt.Seq] {
-			m.stats.SharesLate++
-			return
-		}
 		for len(sh.order) >= m.perShard {
 			m.evictOldest(sh)
 		}
@@ -124,8 +124,6 @@ func (m *modelReceiver) handle(buf []byte, now time.Duration) {
 		sh.order = append(sh.order, pkt.Seq)
 	}
 	switch {
-	case e.done:
-		m.stats.SharesLate++
 	case int(pkt.K) != e.k || int(pkt.M) != e.m:
 		m.stats.SharesInvalid++
 	case e.have[int(pkt.Index)]:
@@ -137,23 +135,27 @@ func (m *modelReceiver) handle(buf []byte, now time.Duration) {
 		if len(e.shares) < e.k {
 			return
 		}
-		e.done = true
+		sh.forget(pkt.Seq)
 		secret, err := m.scheme.Combine(e.shares, e.k, e.m)
 		if err != nil {
 			m.stats.CombineFailures++
 			return
 		}
+		sh.delivered[pkt.Seq] = true
+		sh.top = max(sh.top, pkt.Seq)
 		m.stats.SymbolsDelivered++
 		m.deliver(pkt.Seq, secret)
 	}
 }
 
 // Script opcodes. A script is one configuration byte followed by 3-byte
-// operations {op, sel, arg}: sel picks a share datagram (symbol cursor−sel>>3,
-// share index sel&7 mod m), arg parameterises the damage.
+// operations {op, sel, arg}: sel picks a share datagram (the symbol sel>>3
+// back from the sender's newest, share index sel&7 mod m), arg parameterises
+// the damage.
 const (
 	opShare    = iota // the datagram as sent (a repeat is a duplicate or late share)
-	opNext            // the sender moves on to the next symbol
+	opNext            // the sender moves on to the next symbol, seq + 1 (wrapping past MaxUint64)
+	opJump            // the sender moves on and skips seqs: see jumpSeq
 	opClock           // the clock advances (sel+1) × 100 µs
 	opTick            // Receiver.Tick
 	opTruncate        // the datagram cut to arg mod its length
@@ -168,6 +170,23 @@ const (
 	scriptTimeout = 5 * time.Millisecond
 	scriptTick    = 100 * time.Microsecond
 )
+
+// jumpSeq is the seq opJump moves the sender to from seq, against a replay
+// window of span seqs: one short of the span ahead (the old seq stays on the
+// window's lower edge), exactly the span, several spans, or the last two
+// seqs there are.
+func jumpSeq(seq, span uint64, sel, arg byte) uint64 {
+	switch sel % 4 {
+	case 0:
+		return seq + span - 1
+	case 1:
+		return seq + span
+	case 2:
+		return seq + 3*span + uint64(arg)
+	default:
+		return math.MaxUint64 - uint64(arg%2)
+	}
+}
 
 type delivery struct {
 	seq    uint64
@@ -239,47 +258,47 @@ func runReceiverScript(t *testing.T, prog []byte) ReceiverStats {
 		want = append(want, delivery{seq, secret})
 	})
 
-	var symbols []*scriptSymbol
-	symbol := func(i int) *scriptSymbol {
-		for len(symbols) <= i {
-			seq := uint64(len(symbols))
-			s := &scriptSymbol{payload: make([]byte, 5+seq%12)}
-			for j := range s.payload {
-				s.payload[j] = byte(seq*31 + uint64(j)*7 + 1)
-			}
-			shares, err := scheme.Split(s.payload, k, m)
+	symbols := make(map[uint64]*scriptSymbol)
+	symbol := func(seq uint64) *scriptSymbol {
+		if s := symbols[seq]; s != nil {
+			return s
+		}
+		s := &scriptSymbol{payload: make([]byte, 5+seq%12)}
+		for j := range s.payload {
+			s.payload[j] = byte(seq*31 + uint64(j)*7 + 1)
+		}
+		shares, err := scheme.Split(s.payload, k, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shares {
+			pkt := wire.SharePacket{Seq: seq, K: uint8(k), M: uint8(m), Index: uint8(sh.Index), Payload: sh.Data}
+			d, err := wire.Marshal(pkt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sh := range shares {
-				pkt := wire.SharePacket{Seq: seq, K: uint8(k), M: uint8(m), Index: uint8(sh.Index), Payload: sh.Data}
-				d, err := wire.Marshal(pkt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.shares = append(s.shares, pkt)
-				s.dgrams = append(s.dgrams, d)
-			}
-			symbols = append(symbols, s)
+			s.shares = append(s.shares, pkt)
+			s.dgrams = append(s.dgrams, d)
 		}
-		return symbols[i]
+		symbols[seq] = s
+		return s
 	}
 
 	delivered := make(map[uint64]bool)
-	cursor, checked := 0, 0
+	sent := []uint64{0} // the seqs the sender has reached, in order
+	checked := 0
 	for pc := 1; pc+2 < len(prog); pc += 3 {
 		op, sel, arg := prog[pc]%numOps, prog[pc+1], prog[pc+2]
-		at := cursor - int(sel>>3)
-		if at < 0 {
-			at = 0
-		}
-		sym := symbol(at)
+		sym := symbol(sent[max(0, len(sent)-1-int(sel>>3))])
 		idx := int(sel&7) % m
 
 		var dgram []byte
 		switch op {
 		case opNext:
-			cursor++
+			sent = append(sent, sent[len(sent)-1]+1)
+			continue
+		case opJump:
+			sent = append(sent, jumpSeq(sent[len(sent)-1], model.span, sel, arg))
 			continue
 		case opClock:
 			now += time.Duration(sel+1) * scriptTick
@@ -338,8 +357,8 @@ func runReceiverScript(t *testing.T, prog []byte) ReceiverStats {
 			if s := symbols[g.seq]; !s.tainted && !bytes.Equal(g.secret, s.payload) {
 				t.Fatalf("%s: seq %d delivered %x, sent %x", name, g.seq, g.secret, s.payload)
 			}
-			if delivered[g.seq] && !model.forgot[g.seq] {
-				t.Fatalf("%s: seq %d delivered twice while the closed memory still held it", name, g.seq)
+			if delivered[g.seq] {
+				t.Fatalf("%s: seq %d delivered twice", name, g.seq)
 			}
 			delivered[g.seq] = true
 		}
@@ -357,6 +376,8 @@ func script(config byte, ops ...[3]byte) []byte {
 }
 
 func share(back, idx int) [3]byte { return [3]byte{opShare, byte(back<<3 | idx), 0} }
+func forge(back, idx int) [3]byte { return [3]byte{opForge, byte(back<<3 | idx), 0x21} }
+func jump(kind, arg byte) [3]byte { return [3]byte{opJump, kind, arg} }
 func clock(d time.Duration) [3]byte {
 	return [3]byte{opClock, byte(d/scriptTick - 1), 0}
 }
@@ -369,9 +390,9 @@ var (
 // handScripts are the reassembly cases worth naming, each run under all
 // twelve configurations.
 func handScripts(config byte) [][]byte {
-	// Tombstone: k shares deliver, the next is late against the live
-	// tombstone, the one after the timeout late against the closed memory.
-	tombstone := script(config, share(0, 0), share(0, 1), share(0, 2), share(0, 3), share(0, 1),
+	// Late: k shares deliver, the next is late at once, the one after the
+	// timeout as late as ever.
+	late := script(config, share(0, 0), share(0, 1), share(0, 2), share(0, 3), share(0, 1),
 		clock(6*time.Millisecond), tick, share(0, 4), share(0, 0))
 
 	// Incomplete eviction: one share times out, the rest re-admit the seq
@@ -387,18 +408,53 @@ func handScripts(config byte) [][]byte {
 	}
 	pressure = append(pressure, share(12, 1), share(12, 2), share(12, 3), share(11, 1), share(11, 2))
 
-	// Closed memory: deliver and time out more symbols than it remembers,
-	// then send stragglers for the newest (late), the oldest (forgotten:
-	// re-admitted, and with k more shares delivered again) and the two
-	// either side of what one shard of cap 4 still remembers.
-	var closedMem [][3]byte
+	// Window slide: deliver more symbols in order than one shard of cap 4
+	// spans, then send stragglers for the newest, for the oldest (behind the
+	// window: late, and k more shares of it late again) and for the ones
+	// either side of the window's lower edge.
+	var slide [][3]byte
 	for i := 0; i < 20; i++ {
-		closedMem = append(closedMem, share(0, 0), share(0, 1), share(0, 2), clock(6*time.Millisecond), next)
+		slide = append(slide, share(0, 0), share(0, 1), share(0, 2), clock(6*time.Millisecond), next)
 	}
-	closedMem = append(closedMem, share(1, 1), share(20, 0), share(20, 1), share(20, 2), share(20, 2), share(3, 0),
-		share(17, 0), share(16, 0))
+	slide = append(slide, share(1, 1), share(20, 0), share(20, 1), share(20, 2), share(20, 2), share(3, 0),
+		share(17, 0), share(16, 0), share(15, 0))
 
-	// Damage: every malformed kind against a fresh, a filling and a done seq.
+	// Lower edge: three symbols one share short, then a symbol span−1 ahead
+	// of the last is delivered, which leaves that one on the window's edge
+	// and the two before it behind it. Their missing shares arrive newest
+	// first: one closes its symbol out of seq order, two are late against
+	// entries the window overtook, and those leave by timeout, as evictions.
+	edge := script(config, share(0, 0), share(0, 1), next, share(0, 0), share(0, 1), next, share(0, 0), share(0, 1),
+		jump(0, 0), share(0, 0), share(0, 1), share(0, 2),
+		share(1, 2), share(2, 2), share(3, 2), share(1, 3), share(2, 3),
+		clock(6*time.Millisecond), tick, share(2, 0), share(3, 0))
+
+	// Slot reuse: seq 0 is delivered, then seq span+1, then seq span, whose
+	// bit is the one seq 0 used: it must have been cleared on the way.
+	reuse := script(config, share(0, 0), share(0, 1), share(0, 2), jump(1, 0), next,
+		share(0, 0), share(0, 1), share(0, 2), share(1, 0), share(1, 1), share(1, 2), share(1, 3), share(2, 3))
+
+	// Jumps: exactly the span, then several, with stragglers for what each
+	// leaves behind; then the last two seqs there are, and the wrap to 0,
+	// which is behind the window for good.
+	jumps := script(config, share(0, 0), share(0, 1), share(0, 2), next, share(0, 0),
+		jump(1, 0), share(0, 0), share(0, 1), share(0, 2), share(1, 1), share(1, 2), share(2, 3),
+		jump(2, 77), share(0, 0), share(0, 1), share(0, 2), share(1, 3), share(2, 2),
+		jump(3, 1), share(0, 0), share(0, 1), share(0, 2), share(0, 3), share(1, 4),
+		next, share(0, 1), share(0, 2), share(0, 0), share(1, 4), share(0, 4),
+		next, share(0, 0), share(0, 1), share(0, 2), share(4, 4))
+
+	// Forged future: k forged shares of a seq several spans ahead. Under the
+	// authenticated scheme they fail to combine and top stays where it was,
+	// so seq 1 is still admitted and delivered, and so is the far seq once
+	// its honest shares come. (Unauthenticated Shamir combines the forgery,
+	// delivers wrong bytes and moves the window: the receiver and the model
+	// agree on that too.)
+	forged := script(config, share(0, 0), share(0, 1), share(0, 2), next, jump(2, 5),
+		forge(0, 0), forge(0, 1), forge(0, 2), share(1, 0), share(1, 1), share(1, 2),
+		share(0, 0), share(0, 1), share(0, 2), share(0, 3))
+
+	// Damage: every malformed kind against a fresh, a filling and a delivered seq.
 	damage := script(config,
 		[3]byte{opWide, 0, 7}, [3]byte{opTruncate, 1, 20}, [3]byte{opFlip, 1, 3}, share(0, 0),
 		[3]byte{opParams, 1, 0}, [3]byte{opParams, 1, 1}, [3]byte{opWide, 1, 200}, share(0, 1),
@@ -412,7 +468,7 @@ func handScripts(config byte) [][]byte {
 		[3]byte{opParams, 0, 1}, share(0, 1), [3]byte{opParams, 1, 1}, [3]byte{opParams, 2, 1},
 		clock(6*time.Millisecond), tick)
 
-	return [][]byte{tombstone, readmit, script(config, pressure...), script(config, closedMem...), damage}
+	return [][]byte{late, readmit, script(config, pressure...), script(config, slide...), edge, reuse, jumps, forged, damage}
 }
 
 // lossyScript is the lossy benchmark workload's shape: each share is dropped
@@ -463,8 +519,10 @@ func randomScript(config byte, seed int64, n int) []byte {
 		switch u := rnd.Intn(100); {
 		case u < 60:
 			ops[i] = [3]byte{opShare, sel, arg}
-		case u < 72:
+		case u < 71:
 			ops[i] = next
+		case u < 72:
+			ops[i] = jump(byte(rnd.Intn(3)), arg)
 		case u < 80:
 			ops[i] = clock(time.Duration(1+rnd.Intn(30)) * 200 * time.Microsecond)
 		case u < 82:
@@ -502,9 +560,9 @@ func TestReceiverMatchesModel(t *testing.T) {
 }
 
 // FuzzReceiver lets the fuzzer write the script: its bytes pick the
-// configuration, drive the clock and interleave valid, duplicate, late,
-// truncated, bit-flipped, M > 32, wrong-(k, m), forged and re-admitted
-// datagrams.
+// configuration, drive the clock, move the sender's seq by one or by spans
+// of the replay window and interleave valid, duplicate, late, truncated,
+// bit-flipped, M > 32, wrong-(k, m), forged and re-admitted datagrams.
 func FuzzReceiver(f *testing.F) {
 	for config := byte(0); config < 12; config++ {
 		for _, s := range handScripts(config) {

@@ -55,8 +55,9 @@ type SenderConfig struct {
 	// FirstSeq is the first sequence number the sender assigns. A sender
 	// rebuilt mid-session (e.g. to change parameters) must continue the
 	// previous sender's sequence space (pass its Seq() here): the receiver
-	// permanently refuses sequence numbers it has already delivered, so
-	// restarting from zero would discard the reused range as late shares.
+	// refuses every sequence number it has delivered or that lies behind its
+	// replay window, so restarting from zero would discard the reused range
+	// as late shares.
 	FirstSeq uint64
 	// Health, when non-nil, receives every share send outcome
 	// (HealthTracker.ObserveSend), driving the per-channel failure EWMA
@@ -110,16 +111,19 @@ func newSenderMetrics(reg *obs.Registry, n int) senderMetrics {
 // Sender is the sending half of the protocol. It is safe for concurrent
 // use and, unlike the earlier single-mutex design, scales with callers:
 // sequence numbers are assigned atomically, split and marshal run outside
-// any lock on per-caller scratch recycled through a sync.Pool, the chooser
-// (the only remaining shared mutable state) is serialized by its own small
-// mutex, and each link has its own send lock so concurrent callers fanning
-// out to disjoint links proceed in parallel. Counters are atomic and
-// readable without any lock.
+// any lock on per-caller scratch, the chooser (the only remaining shared
+// mutable state) is serialized by its own small mutex, and each link has
+// its own send lock so concurrent callers fanning out to disjoint links
+// proceed in parallel. Counters are atomic and readable without any lock.
 //
-// The steady-state Send path reuses pooled share slices and one marshal
-// buffer per caller, so the replication and XOR schemes transmit without
-// heap allocation even with metrics and tracing on; links must therefore
-// not retain the datagram slice after Send returns (see the Link contract).
+// The steady-state Send path reuses a scratch's share slices and marshal
+// buffer, so the replication and XOR schemes transmit without heap
+// allocation even with metrics and tracing on; links must therefore not
+// retain the datagram slice after Send returns (see the Link contract). The
+// scratch belongs to the call, not the sender: claimed from the process-wide
+// sendScratchPool when Send or SendBatch starts, returned when it ends. Idle
+// senders hold no buffers, and between calls a scratch holds the shares and
+// datagrams of whichever sender of this process had it last.
 //
 // Because splits now run concurrently, the configured Scheme — including
 // its randomness source — must be safe for concurrent use. The default
@@ -144,15 +148,6 @@ type Sender struct {
 	// linkMu[i] serializes Send calls on links[i] only, so concurrent
 	// symbols contend per link rather than per sender.
 	linkMu []sync.Mutex
-
-	// Per-caller scratch: scratchSlot holds one *sendScratch claimed and
-	// returned with single atomic operations — the deterministic path a
-	// lone caller always hits — and scratch is the sync.Pool overflow that
-	// serves additional concurrent callers. (The pool alone would not do:
-	// under the race detector it deliberately drops Put items, which would
-	// make the zero-allocation pins flaky.)
-	scratchSlot atomic.Pointer[sendScratch]
-	scratch     sync.Pool
 }
 
 // marshalShare encodes pkt in the sender's wire version: the v2
@@ -168,20 +163,54 @@ func (s *Sender) marshalShare(dst []byte, pkt wire.SharePacket) ([]byte, error) 
 	return wire.AppendMarshal(dst, pkt)
 }
 
-// getScratch claims a private working set for one Send/SendBatch call.
-func (s *Sender) getScratch() *sendScratch {
-	if sc := s.scratchSlot.Swap(nil); sc != nil {
-		return sc
-	}
-	return s.scratch.Get().(*sendScratch)
+// slotPool recycles working sets process-wide. In front of the sync.Pool
+// sit a few slots, claimed and returned with one compare-and-swap (a slot
+// that cannot serve costs only a load): the deterministic path a lone
+// caller, or a stream with a few symbols in flight, always hits. The pool
+// alone would not do: it sheds what sat idle through a collection, and under
+// the race detector deliberately drops Put items, which would make the
+// allocation pins flaky.
+type slotPool[T any] struct {
+	slots [8]atomic.Pointer[T]
+	pool  sync.Pool
 }
 
-// putScratch returns a working set claimed by getScratch.
-func (s *Sender) putScratch(sc *sendScratch) {
-	if s.scratchSlot.CompareAndSwap(nil, sc) {
-		return
+func (p *slotPool[T]) get() *T {
+	for i := range p.slots {
+		if v := p.slots[i].Load(); v != nil && p.slots[i].CompareAndSwap(v, nil) {
+			return v
+		}
 	}
-	s.scratch.Put(sc)
+	return p.pool.Get().(*T)
+}
+
+func (p *slotPool[T]) put(v *T) {
+	for i := range p.slots {
+		if p.slots[i].Load() == nil && p.slots[i].CompareAndSwap(nil, v) {
+			return
+		}
+	}
+	p.pool.Put(v)
+}
+
+// sendScratchPool holds the per-call scratch of every sender in the process.
+var sendScratchPool = slotPool[sendScratch]{pool: sync.Pool{New: func() any { return new(sendScratch) }}}
+
+// maxScratchBytes is how much SendBatch marshal buffer a scratch may keep
+// between calls: a gateway session's steady bursts stay far below it, one
+// burst of 16 KiB symbols over 32 links must not pin its megabytes for good.
+const maxScratchBytes = 1 << 20
+
+// putScratch returns a working set claimed by sendScratchPool.get.
+func putScratch(sc *sendScratch) {
+	total := 0
+	for _, b := range sc.bufs {
+		total += cap(b)
+	}
+	if total > maxScratchBytes {
+		sc.bufs = nil
+	}
+	sendScratchPool.put(sc)
 }
 
 // sendScratch is the per-call working set: the split output (share payload
@@ -248,8 +277,6 @@ func NewSender(cfg SenderConfig, links []Link) (*Sender, error) {
 		linkMu:  make([]sync.Mutex, len(links)),
 	}
 	s.seq.Store(cfg.FirstSeq)
-	s.scratchSlot.Store(new(sendScratch))
-	s.scratch.New = func() any { return new(sendScratch) }
 	return s, nil
 }
 
@@ -286,8 +313,8 @@ func (s *Sender) Stats() SenderStats {
 //remicss:noalloc
 //remicss:secret payload
 func (s *Sender) Send(payload []byte) error {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	sc := sendScratchPool.get()
+	defer putScratch(sc)
 
 	s.chooserMu.Lock()
 	k, mask, ok := s.chooser.Choose(s.links) //lint:allow lockorder chooserMu exists to serialize Choose; choosers are pure policy and take no locks
@@ -369,8 +396,8 @@ func (s *Sender) SendBatch(payloads [][]byte) (int, error) {
 	if len(payloads) == 0 {
 		return 0, nil
 	}
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	sc := sendScratchPool.get()
+	defer putScratch(sc)
 
 	// Phase 1: one chooser pass for the whole burst.
 	sc.choices = sc.choices[:0]
