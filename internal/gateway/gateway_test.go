@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -187,6 +188,9 @@ type gatewaySession struct {
 // checks each session's receiver reconstructs exactly its own payloads —
 // the byte-identical, no-crosstalk property the whole design hangs on.
 func TestGatewayEndToEnd(t *testing.T) {
+	// A runner whose kernel lacks a tier shows it here rather than quietly
+	// testing fewer of them.
+	t.Logf("batch mode %q, available %v", udptrans.BatchMode(), udptrans.BatchModes())
 	for _, mode := range udptrans.BatchModes() {
 		t.Run(mode, func(t *testing.T) {
 			restore, err := udptrans.ForceBatchMode(mode)
@@ -207,6 +211,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 			defer lis.Close()
 
 			reg := obs.NewRegistry()
+			lis.Instrument(reg)
 			srv := NewServer(ServerConfig{Shards: 16, Metrics: reg})
 
 			const sessions = 4
@@ -286,6 +291,23 @@ func TestGatewayEndToEnd(t *testing.T) {
 			}
 			if got := reg.Counter("remicss_gateway_unknown_session_total").Value(); got != 0 {
 				t.Fatalf("cross-session leakage: %d datagrams hit no session", got)
+			}
+			// Both socket layers count datagrams, however many a kernel
+			// message carried: every share sent is one on each side (a
+			// symbol is delivered at its second share, so the third may
+			// still be on its way).
+			total := func(name string) (n int64) {
+				for ch := 0; ch < channels; ch++ {
+					n += reg.Counter(name, obs.Label{Key: "channel", Value: strconv.Itoa(ch)}).Value()
+				}
+				return n
+			}
+			want := int64(sessions * perSession * channels)
+			for total("udp_recv_datagrams_total") < want && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if sent, recv := total("udp_sent_datagrams_total"), total("udp_recv_datagrams_total"); sent != want || recv != want {
+				t.Fatalf("udp_sent_datagrams_total %d, udp_recv_datagrams_total %d, want %d shares on each side", sent, recv, want)
 			}
 		})
 	}

@@ -2,10 +2,11 @@
 
 package udptrans
 
-// mmsgBatcher is absent on platforms without the sendmmsg/recvmmsg fast
-// path (or whose msghdr layout the fast path does not hardcode); selection
-// falls through to the portable per-datagram batcher, and forcing
-// REMICSS_NETBATCH=mmsg here fails loudly.
-var mmsgBatcher *netBatcher
+// gsoBatcher and mmsgBatcher are absent on platforms without the
+// sendmmsg/recvmmsg fast paths (or whose msghdr layout the fast paths do
+// not hardcode); selection falls through to the portable per-datagram
+// batcher, and forcing REMICSS_NETBATCH=gso or =mmsg here fails loudly.
+var gsoBatcher, mmsgBatcher *netBatcher
 
+func gsoAvailable() bool  { return false }
 func mmsgAvailable() bool { return false }

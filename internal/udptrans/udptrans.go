@@ -84,6 +84,11 @@ type Link struct {
 
 	lastErr error // guarded by mu
 
+	// plain is set once this socket's kernel has refused a segmented
+	// message (see netBatcher.send): SendBatch then stops forming runs on
+	// this link, whatever the active batch mode.
+	plain atomic.Bool
+
 	// Optional observability, attached via Instrument; all nil when
 	// uninstrumented. Handles are atomic, so Send updates them outside mu.
 	metSent       *obs.Counter
@@ -326,16 +331,25 @@ func putBatchScratch(sc *batchScratch) {
 }
 
 // SendBatch sends a burst of datagrams through the link, spending as few
-// kernel entries as the active batch mode allows (see BatchMode). The
-// observable behavior matches calling Send once per datagram — pacing,
-// impairment, and error accounting are the same, and delivered bytes are
-// byte-for-byte identical — except that the token bucket is consulted once
-// for the whole burst and the unimpaired datagrams enter the kernel
-// together. It returns how many datagrams were accepted, i.e. the count for
-// which Send would have returned true: pacing-refused datagrams past the
-// admitted prefix and datagrams failing at the socket are excluded,
-// impairment-lost ones (accepted, then "lost on the wire") are included.
-// Like Send, the datagram buffers are not retained after return.
+// kernel entries — and under the "gso" mode as few traversals of the
+// kernel's network stack — as the active batch mode allows (see BatchMode).
+// The observable behavior matches calling Send once per datagram — pacing,
+// impairment, and error accounting are the same, and the receiver sees the
+// same datagrams with the same boundaries in the same order — except that
+// the token bucket is consulted once for the whole burst and the unimpaired
+// datagrams enter the kernel together. Under "gso" each run of
+// equal-length datagrams enters it as one message that the kernel (or the
+// NIC) cuts back into datagrams; if this link's route refuses such a
+// message the run is re-sent as plain messages within the same call and
+// the link forms no runs afterwards, which is not an error: nothing is
+// lost, LastSendError stays nil and udp_socket_errors_total does not move.
+// udp_sent_datagrams_total counts datagrams and udp_batch_writes_total
+// kernel entries under every mode. It returns how many datagrams were
+// accepted, i.e. the count for which Send would have returned true:
+// pacing-refused datagrams past the admitted prefix and datagrams failing
+// at the socket are excluded, impairment-lost ones (accepted, then "lost on
+// the wire") are included. Like Send, the datagram buffers are not retained
+// after return.
 func (l *Link) SendBatch(datagrams [][]byte) int {
 	if len(datagrams) == 0 {
 		return 0
@@ -409,7 +423,7 @@ func (l *Link) SendBatch(datagrams [][]byte) int {
 		if l.rc == nil {
 			nb = &portableBatcher
 		}
-		written, calls, err := nb.send(l.conn, l.rc, sc.direct)
+		written, calls, err := nb.send(l.conn, l.rc, &l.plain, sc.direct)
 		if l.metSent != nil {
 			l.metSent.Add(int64(written))
 		}
@@ -563,8 +577,18 @@ func (l *Listener) ServeConcurrent(handle func(datagram []byte)) {
 	}
 }
 
-// recvBatch is how many datagrams one ServeBatch kernel entry may return;
-// each reader goroutine holds recvBatch full-size buffers (1 MiB total).
+// recvBatch is how many messages one ServeBatch kernel entry may return
+// under the mmsg tier, where a message is a datagram; each reader goroutine
+// holds that many full-size buffers (1 MiB per socket). The gso tier takes
+// recvBatch/2: per-socket receive memory must not grow with the tier, and a
+// 65 535-byte slot that mmsg fills with one datagram holds a coalesced run
+// of up to 64 there (45 MTU-sized ones), so 8 slots return up to 512
+// datagrams per entry from a segmenting sender where 16 returned 16, in
+// 512 KiB per socket. Not fewer than 8, because a sender that does not
+// segment (mmsg, portable, or another host behind a NIC without receive
+// offload) fills one slot per datagram, and the amortisation it gets from
+// this receiver is then the slot count. The portable tier reads one
+// datagram per entry and holds one buffer.
 const recvBatch = 16
 
 // ServeBatch starts one reader goroutine per socket, pulling datagrams in
@@ -573,9 +597,15 @@ const recvBatch = 16
 // serialization or copying, like ServeConcurrent: the buffers are reused
 // for the next batch, so the handler must not retain its argument after
 // returning. Under bursty ingest this divides the syscalls-per-datagram
-// cost by up to recvBatch; delivered bytes are identical to the other
-// serving modes'. Returns immediately; Close stops the readers and waits
-// for them.
+// cost by up to the tier's slot count (see recvBatch). Under the "gso" mode ServeBatch also enables
+// UDP_GRO on its sockets, so a run of equal-length datagrams that the
+// sender's kernel or the NIC kept together arrives as one buffer with its
+// segment size; the handler is still called once per datagram, on each
+// segment-sized slice of that buffer in order, and
+// udp_recv_datagrams_total / udp_recv_bytes_total still count datagrams
+// (udp_batch_reads_total counts kernel entries, so it can fall far below
+// them). Delivered datagrams are identical to the other serving modes'.
+// Returns immediately; Close stops the readers and waits for them.
 func (l *Listener) ServeBatch(handle func(datagram []byte)) {
 	for i, conn := range l.conns {
 		i, conn, rc := i, conn, l.rcs[i]
@@ -586,13 +616,15 @@ func (l *Listener) ServeBatch(handle func(datagram []byte)) {
 		l.wg.Add(1)
 		go func() {
 			defer l.wg.Done()
-			bufs := make([][]byte, recvBatch)
+			bufs := make([][]byte, nb.slots)
 			for j := range bufs {
 				bufs[j] = make([]byte, MaxDatagram)
 			}
-			sizes := make([]int, recvBatch)
+			sizes := make([]int, nb.slots)
+			segs := make([]int, nb.slots)
+			recv := nb.newRecv(conn, rc, bufs)
 			for {
-				n, calls, err := nb.recv(conn, rc, bufs, sizes)
+				n, calls, err := recv(sizes, segs)
 				if err != nil {
 					return // closed
 				}
@@ -600,8 +632,14 @@ func (l *Listener) ServeBatch(handle func(datagram []byte)) {
 					l.metBatchRead[i].Add(int64(calls))
 				}
 				for j := 0; j < n; j++ {
-					l.countRecv(i, sizes[j])
-					handle(bufs[j][:sizes[j]])
+					buf, seg := bufs[j][:sizes[j]], segs[j]
+					for seg > 0 && len(buf) > seg {
+						l.countRecv(i, seg)
+						handle(buf[:seg])
+						buf = buf[seg:]
+					}
+					l.countRecv(i, len(buf))
+					handle(buf)
 				}
 			}
 		}()
