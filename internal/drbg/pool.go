@@ -1,21 +1,15 @@
 package drbg
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "remicss/internal/slotpool"
 
-// Pool is the concurrent front door over single-caller DRBG states,
-// reusing the sender's per-caller scratch idiom: an atomic slot that a
-// lone caller always hits with two uncontended atomics, and a sync.Pool
-// catching the overflow when Reads race. Each Read borrows a whole state,
-// so concurrent callers never interleave inside one keystream and the
-// per-state buffers stay single-writer.
+// Pool is the concurrent front door over single-caller DRBG states, kept in
+// a slotpool.Pool like every other per-caller working set. Each Read borrows
+// a whole state, so concurrent callers never interleave inside one keystream
+// and the per-state buffers stay single-writer.
 //
 // The zero Pool is ready to use and seeds states from crypto/rand.
 type Pool struct {
-	slot atomic.Pointer[DRBG]
-	pool sync.Pool
+	states slotpool.Pool[DRBG]
 
 	// newState overrides how replacement states are built; tests install
 	// deterministic constructors here. nil means New (crypto/rand-seeded).
@@ -48,28 +42,17 @@ func (p *Pool) Read(b []byte) (int, error) {
 	if err != nil {
 		return n, err
 	}
-	p.put(d)
+	p.states.Put(d)
 	return n, nil
 }
 
 // get claims a pooled state or builds a fresh one.
 func (p *Pool) get() (*DRBG, error) {
-	if d := p.slot.Swap(nil); d != nil {
-		return d, nil
-	}
-	if d, _ := p.pool.Get().(*DRBG); d != nil {
+	if d := p.states.Get(); d != nil {
 		return d, nil
 	}
 	if p.newState != nil {
 		return p.newState()
 	}
 	return New()
-}
-
-// put returns a healthy state to the slot, overflowing into the sync.Pool.
-func (p *Pool) put(d *DRBG) {
-	if p.slot.CompareAndSwap(nil, d) {
-		return
-	}
-	p.pool.Put(d)
 }

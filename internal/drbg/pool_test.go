@@ -91,8 +91,8 @@ func TestPoolDiscardsFailedState(t *testing.T) {
 	if _, err := p.Read(make([]byte, 16)); !errors.Is(err, ErrEntropy) {
 		t.Fatalf("want ErrEntropy, got %v", err)
 	}
-	if p.slot.Load() != nil {
-		t.Fatal("failed state returned to the slot")
+	if p.states.Get() != nil {
+		t.Fatal("failed state returned to the pool")
 	}
 	if _, err := p.Read(make([]byte, 16)); !errors.Is(err, ErrEntropy) {
 		t.Fatalf("want ErrEntropy from rebuilt state, got %v", err)

@@ -46,6 +46,9 @@ type Pool struct {
 	queues []sendQueue
 	qlinks []remicss.Link //remicss:secret
 	batch  int
+
+	mu     sync.Mutex
+	closed bool // guarded by mu
 }
 
 // poolSocket is the transport surface the pool drives, satisfied by
@@ -180,8 +183,17 @@ func (p *Pool) Flush() {
 	}
 }
 
-// Close flushes pending datagrams and releases the sockets.
+// Close flushes pending datagrams and releases the sockets. Only the first
+// call does; later ones return nil. Datagrams enqueued or flushed after it
+// meet closed links and are counted there as paced drops.
 func (p *Pool) Close() error {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil
+	}
+	p.closed = true
+	p.mu.Unlock()
 	p.Flush()
 	var firstErr error
 	for _, l := range p.links {

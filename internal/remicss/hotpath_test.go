@@ -166,39 +166,3 @@ func BenchmarkSendHotPath(b *testing.B) {
 		})
 	}
 }
-
-// TestScratchDropsOversizedBurstBuffers checks the bound on what a scratch
-// carries back into the process-wide pool: a burst whose marshal buffers
-// total more than maxScratchBytes leaves none of them behind, an ordinary
-// burst keeps its buffers for the next.
-func TestScratchDropsOversizedBurstBuffers(t *testing.T) {
-	// held is the most marshal buffer any pooled scratch carries.
-	held := func() (most int) {
-		for i := range sendScratchPool.slots {
-			if sc := sendScratchPool.slots[i].Load(); sc != nil {
-				total := 0
-				for _, b := range sc.bufs {
-					total += cap(b)
-				}
-				most = max(most, total)
-			}
-		}
-		return most
-	}
-	s := hotPathSender(t, 1, 5, sharing.NewAuto(rand.New(rand.NewSource(1))))
-	burst := func(size int) {
-		t.Helper()
-		payloads := [][]byte{make([]byte, size), make([]byte, size), make([]byte, size), make([]byte, size)}
-		if n, err := s.SendBatch(payloads); n != len(payloads) || err != nil {
-			t.Fatalf("SendBatch sent %d of %d: %v", n, len(payloads), err)
-		}
-	}
-	burst(1400)
-	if got := held(); got < 4*5*1400 || got > maxScratchBytes {
-		t.Fatalf("after an MTU burst the scratch holds %d B of marshal buffer, want the burst's %d B kept", got, 4*5*1400)
-	}
-	burst(60 << 10) // 4 symbols × 5 replicas × 60 KiB > 1 MiB
-	if got := held(); got > maxScratchBytes {
-		t.Fatalf("after a %d B burst a scratch still holds %d B of marshal buffer, want at most %d", 4*5*60<<10, got, maxScratchBytes)
-	}
-}

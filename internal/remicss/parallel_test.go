@@ -412,25 +412,3 @@ func BenchmarkSendSerialized(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSendBatch measures the amortized burst path (one chooser lock
-// and one link lock acquisition per burst) against per-call Send.
-func BenchmarkSendBatch(b *testing.B) {
-	const burst = 16
-	payloads := make([][]byte, burst)
-	for i := range payloads {
-		payloads[i] = bytes.Repeat([]byte{0x5a}, 1400)
-	}
-	s := parallelBenchSender(b, 1, 3)
-	if _, err := s.SendBatch(payloads); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(burst * 1400))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SendBatch(payloads); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

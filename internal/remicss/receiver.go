@@ -10,6 +10,7 @@ import (
 	"remicss/internal/obs"
 	"remicss/internal/shardix"
 	"remicss/internal/sharing"
+	"remicss/internal/slotpool"
 	"remicss/internal/wire"
 )
 
@@ -226,7 +227,7 @@ type entry struct {
 
 // entryPool recycles reassembly entries, with their share buffers, across
 // symbols and across every receiver in the process.
-var entryPool = slotPool[entry]{pool: sync.Pool{New: func() any { return new(entry) }}}
+var entryPool slotpool.Pool[entry]
 
 // bit locates seq's bit in the replay window.
 //
@@ -445,7 +446,9 @@ func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duratio
 	e, exists := sh.pending[pkt.Seq]
 	if !exists {
 		r.admit(sh)
-		e = entryPool.get()
+		if e = entryPool.Get(); e == nil {
+			e = new(entry)
+		}
 		e.seq = pkt.Seq
 		e.k, e.m = int(pkt.K), int(pkt.M)
 		e.sentAt = pkt.SentAt
@@ -547,5 +550,5 @@ func (r *Receiver) remove(sh *recvShard, e *entry) {
 	r.met.pending.Add(-1)
 	sh.depth.Set(int64(len(sh.pending)))
 	e.shares = e.shares[:0]
-	entryPool.put(e)
+	entryPool.Put(e)
 }

@@ -10,6 +10,7 @@ import (
 
 	"remicss/internal/obs"
 	"remicss/internal/sharing"
+	"remicss/internal/slotpool"
 	"remicss/internal/wire"
 )
 
@@ -121,9 +122,9 @@ func newSenderMetrics(reg *obs.Registry, n int) senderMetrics {
 // allocation even with metrics and tracing on; links must therefore not
 // retain the datagram slice after Send returns (see the Link contract). The
 // scratch belongs to the call, not the sender: claimed from the process-wide
-// sendScratchPool when Send or SendBatch starts, returned when it ends. Idle
-// senders hold no buffers, and between calls a scratch holds the shares and
-// datagrams of whichever sender of this process had it last.
+// sendScratchPool when Send starts, returned when it ends. Idle senders hold
+// no buffers, and between calls a scratch holds the shares and datagrams of
+// whichever sender of this process had it last.
 //
 // Because splits now run concurrently, the configured Scheme — including
 // its randomness source — must be safe for concurrent use. The default
@@ -163,82 +164,23 @@ func (s *Sender) marshalShare(dst []byte, pkt wire.SharePacket) ([]byte, error) 
 	return wire.AppendMarshal(dst, pkt)
 }
 
-// slotPool recycles working sets process-wide. In front of the sync.Pool
-// sit a few slots, claimed and returned with one compare-and-swap (a slot
-// that cannot serve costs only a load): the deterministic path a lone
-// caller, or a stream with a few symbols in flight, always hits. The pool
-// alone would not do: it sheds what sat idle through a collection, and under
-// the race detector deliberately drops Put items, which would make the
-// allocation pins flaky.
-type slotPool[T any] struct {
-	slots [8]atomic.Pointer[T]
-	pool  sync.Pool
-}
-
-func (p *slotPool[T]) get() *T {
-	for i := range p.slots {
-		if v := p.slots[i].Load(); v != nil && p.slots[i].CompareAndSwap(v, nil) {
-			return v
-		}
-	}
-	return p.pool.Get().(*T)
-}
-
-func (p *slotPool[T]) put(v *T) {
-	for i := range p.slots {
-		if p.slots[i].Load() == nil && p.slots[i].CompareAndSwap(nil, v) {
-			return
-		}
-	}
-	p.pool.Put(v)
-}
-
 // sendScratchPool holds the per-call scratch of every sender in the process.
-var sendScratchPool = slotPool[sendScratch]{pool: sync.Pool{New: func() any { return new(sendScratch) }}}
+var sendScratchPool slotpool.Pool[sendScratch]
 
-// maxScratchBytes is how much SendBatch marshal buffer a scratch may keep
-// between calls: a gateway session's steady bursts stay far below it, one
-// burst of 16 KiB symbols over 32 links must not pin its megabytes for good.
-const maxScratchBytes = 1 << 20
-
-// putScratch returns a working set claimed by sendScratchPool.get.
-func putScratch(sc *sendScratch) {
-	total := 0
-	for _, b := range sc.bufs {
-		total += cap(b)
+// getScratch claims a working set for one Send call.
+func getScratch() *sendScratch {
+	if sc := sendScratchPool.Get(); sc != nil {
+		return sc
 	}
-	if total > maxScratchBytes {
-		sc.bufs = nil
-	}
-	sendScratchPool.put(sc)
+	return new(sendScratch)
 }
 
-// sendScratch is the per-call working set: the split output (share payload
-// buffers are recycled by the scheme's into path), the single-datagram
-// marshal buffer used by Send, and the batch plan used by SendBatch.
+// sendScratch is one Send call's working set: the split output (share
+// payload buffers are recycled by the scheme's into path) and the marshal
+// buffer every share of the symbol passes through.
 type sendScratch struct {
 	shares []sharing.Share
 	dgram  []byte //remicss:secret
-	// SendBatch state: one choice per payload, one planned op plus one
-	// marshal buffer per share in the burst.
-	choices []batchChoice
-	ops     []batchOp
-	bufs    [][]byte //remicss:secret
-}
-
-// batchChoice records the chooser's verdict for one payload of a burst;
-// mask == 0 marks a stalled payload.
-type batchChoice struct {
-	k    uint8
-	mask uint32
-}
-
-// batchOp is one marshaled share waiting for its per-link send phase.
-type batchOp struct {
-	link int32
-	seq  uint64
-	now  time.Duration
-	buf  []byte //remicss:secret
 }
 
 // maxLinks is the width of the channel masks (Chooser results, the
@@ -313,8 +255,8 @@ func (s *Sender) Stats() SenderStats {
 //remicss:noalloc
 //remicss:secret payload
 func (s *Sender) Send(payload []byte) error {
-	sc := sendScratchPool.get()
-	defer putScratch(sc)
+	sc := getScratch()
+	defer sendScratchPool.Put(sc)
 
 	s.chooserMu.Lock()
 	k, mask, ok := s.chooser.Choose(s.links) //lint:allow lockorder chooserMu exists to serialize Choose; choosers are pure policy and take no locks
@@ -378,14 +320,11 @@ func (s *Sender) Send(payload []byte) error {
 	return nil
 }
 
-// SendBatch transmits a burst of source symbols, one symbol per payload,
-// with the per-symbol overheads amortized: the chooser lock is taken once
-// for the whole burst, every split and marshal runs unlocked on pooled
-// scratch, and each link's send lock is taken once per burst instead of
-// once per share. Semantics per payload match Send — a stalled payload is
-// counted and skipped, a split or encoding error skips that payload — and
-// the burst is best-effort: later payloads are still sent after an earlier
-// one fails.
+// SendBatch transmits a burst of source symbols, one Send per payload in
+// order: a convenience loop, not a second path (taking the chooser and link
+// locks once per burst instead measures about 1 % of a symbol end to end). A
+// stalled payload is counted and skipped, a split or encoding error skips
+// that payload, and later payloads are still sent.
 //
 // It returns the number of symbols handed to the links and the first hard
 // error (split or marshal); if no hard error occurred but at least one
@@ -393,132 +332,22 @@ func (s *Sender) Send(payload []byte) error {
 //
 //remicss:secret payloads
 func (s *Sender) SendBatch(payloads [][]byte) (int, error) {
-	if len(payloads) == 0 {
-		return 0, nil
-	}
-	sc := sendScratchPool.get()
-	defer putScratch(sc)
-
-	// Phase 1: one chooser pass for the whole burst.
-	sc.choices = sc.choices[:0]
-	s.chooserMu.Lock()
-	stalled := 0
-	for range payloads {
-		k, mask, ok := s.chooser.Choose(s.links) //lint:allow lockorder chooserMu exists to serialize Choose; choosers are pure policy and take no locks
-		if !ok {
-			mask = 0
-			stalled++
-		}
-		sc.choices = append(sc.choices, batchChoice{k: uint8(k), mask: mask})
-	}
-	s.chooserMu.Unlock()
-	if stalled > 0 {
-		s.met.symbolsStalled.Add(int64(stalled))
-	}
-
-	// Phase 2: split and marshal every accepted payload with no lock held.
-	// Each share gets its own retained marshal buffer so phase 3 can hand
-	// all of them to the links; an error drops the whole symbol (no partial
-	// fan-out), and nothing is observed for dropped symbols.
 	var firstErr error
-	sc.ops = sc.ops[:0]
-	nb := 0
-	planned := 0
-	for pi, payload := range payloads {
-		ch := sc.choices[pi]
-		if ch.mask == 0 {
-			continue
-		}
-		m := bits.OnesCount32(ch.mask)
-		shares, err := sharing.SplitInto(s.cfg.Scheme, payload, int(ch.k), m, sc.shares)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("remicss: splitting symbol: %w", err)
-			}
-			continue
-		}
-		sc.shares = shares
-
-		seq := s.seq.Add(1) - 1
-		now := s.cfg.Clock()
-		opStart := len(sc.ops)
-		shareIdx := 0
-		ok := true
-		for i := 0; i < len(s.links); i++ {
-			if ch.mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			pkt := wire.SharePacket{
-				Seq:     seq,
-				K:       ch.k,
-				M:       uint8(m),
-				Index:   uint8(shares[shareIdx].Index),
-				SentAt:  int64(now),
-				Payload: shares[shareIdx].Data,
-			}
-			if nb == len(sc.bufs) {
-				sc.bufs = append(sc.bufs, nil)
-			}
-			buf, err := s.marshalShare(sc.bufs[nb][:0], pkt)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("remicss: encoding share: %w", err)
-				}
-				ok = false
-				break
-			}
-			sc.bufs[nb] = buf
-			nb++
-			sc.ops = append(sc.ops, batchOp{link: int32(i), seq: seq, now: now, buf: buf})
-			shareIdx++
-		}
-		if !ok {
-			sc.ops = sc.ops[:opStart]
-			continue
-		}
-		s.trace.Record(obs.EventSymbolScheduled, -1, now, seq, int64(ch.k)<<8|int64(m))
-		planned++
-	}
-
-	// Phase 3: per-link fan-out, one lock acquisition per link per burst.
-	// Every op present here marshaled successfully, so sizes and events are
-	// recorded only for shares actually offered to a link.
-	for li := range s.links {
-		locked := false
-		for oi := range sc.ops {
-			op := &sc.ops[oi]
-			if int(op.link) != li {
-				continue
-			}
-			s.met.shareBytes.Observe(int64(len(op.buf)))
-			if !locked {
-				s.linkMu[li].Lock()
-				locked = true
-			}
-			delivered := s.links[li].Send(op.buf) //lint:allow lockorder linkMu[li] exists to serialize this link's Send; transports never call back into the sender
-			if delivered {
-				s.met.perChan[li].sent.Inc()
-				s.trace.Record(obs.EventShareSent, op.link, op.now, op.seq, int64(len(op.buf)))
-			} else {
-				s.met.perChan[li].dropped.Inc()
-				s.trace.Record(obs.EventDatagramDropped, op.link, op.now, op.seq, int64(len(op.buf)))
-			}
-			s.health.ObserveSend(li, delivered)
-		}
-		if locked {
-			s.linkMu[li].Unlock()
+	sent, stalled := 0, false
+	for _, payload := range payloads {
+		switch err := s.Send(payload); {
+		case err == nil:
+			sent++
+		case err == ErrBackpressure:
+			stalled = true
+		case firstErr == nil:
+			firstErr = err
 		}
 	}
-	if planned > 0 {
-		s.met.symbolsSent.Add(int64(planned))
+	if firstErr == nil && stalled {
+		firstErr = ErrBackpressure
 	}
-	if firstErr != nil {
-		return planned, firstErr
-	}
-	if stalled > 0 {
-		return planned, ErrBackpressure
-	}
-	return planned, nil
+	return sent, firstErr
 }
 
 // Seq returns the next sequence number to be assigned (FirstSeq plus the

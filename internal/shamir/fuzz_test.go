@@ -5,37 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzParseShare checks the share parser never panics, accepted shares
-// round-trip, and parsing never mutates its input.
-func FuzzParseShare(f *testing.F) {
-	f.Add([]byte{1, 2, 3})
-	f.Add([]byte{0, 1})
-	f.Add([]byte{})
-	// Valid share plus truncation/corruption mutants.
-	if valid, err := Split([]byte("fuzz seed secret"), 2, 3); err == nil {
-		wire := valid[0].Bytes()
-		f.Add(wire)
-		f.Add(wire[:1])
-		f.Add(wire[:len(wire)/2])
-		flipped := append([]byte(nil), wire...)
-		flipped[0] = 0
-		f.Add(flipped)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		orig := append([]byte(nil), data...)
-		s, err := ParseShare(data)
-		if !bytes.Equal(data, orig) {
-			t.Fatal("ParseShare mutated its input")
-		}
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(s.Bytes(), data) {
-			t.Fatal("accepted share does not round-trip")
-		}
-	})
-}
-
 // FuzzSplitCombine exercises split/combine over fuzzed secrets and
 // parameters.
 func FuzzSplitCombine(f *testing.F) {

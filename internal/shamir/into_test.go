@@ -164,10 +164,12 @@ func TestSplitIntoAllocs(t *testing.T) {
 // a split hands it back, on the success path and on a randomness shortfall.
 func TestSplitScratchZeroedAtRest(t *testing.T) {
 	secret := bytes.Repeat([]byte{0x77}, 64)
-	atRest := func(sp *Splitter) []byte {
-		sc := sp.scratchSlot.Load()
+	for scratchPool.Get() != nil { // blocks earlier tests left, of other sizes
+	}
+	atRest := func() []byte {
+		sc := scratchPool.Get()
 		if sc == nil {
-			t.Fatal("no scratch parked in the slot after a lone split")
+			t.Fatal("no scratch pooled after a lone split")
 		}
 		return sc.random[:cap(sc.random)]
 	}
@@ -175,14 +177,14 @@ func TestSplitScratchZeroedAtRest(t *testing.T) {
 	if _, err := sp.SplitInto(secret, 3, 5, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := atRest(sp); len(got) != 2*len(secret) || !bytes.Equal(got, make([]byte, len(got))) {
+	if got := atRest(); len(got) != 2*len(secret) || !bytes.Equal(got, make([]byte, len(got))) {
 		t.Fatalf("coefficient block at rest after a split: %d bytes, not all zero", len(got))
 	}
 	short := NewSplitter(bytes.NewReader(bytes.Repeat([]byte{0xff}, 100)))
 	if _, err := short.SplitInto(secret, 3, 5, nil); err == nil {
 		t.Fatal("split succeeded on 100 of 128 random bytes")
 	}
-	if got := atRest(short); !bytes.Equal(got, make([]byte, len(got))) {
+	if got := atRest(); !bytes.Equal(got, make([]byte, len(got))) {
 		t.Fatal("coefficient block not zeroed after a failed split")
 	}
 }

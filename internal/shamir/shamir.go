@@ -14,11 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"remicss/internal/drbg"
 	"remicss/internal/gf256"
+	"remicss/internal/slotpool"
 )
 
 // MaxShares is the maximum multiplicity supported by the byte-wise scheme:
@@ -45,41 +44,12 @@ type Share struct {
 	Y []byte //remicss:secret
 }
 
-// Bytes serializes the share as X followed by Y, the format used by Split's
-// flat output and expected by ParseShare.
-func (s Share) Bytes() []byte {
-	out := make([]byte, 1+len(s.Y))
-	out[0] = s.X
-	copy(out[1:], s.Y)
-	return out
-}
-
-// ParseShare parses the wire form produced by Share.Bytes.
-func ParseShare(b []byte) (Share, error) {
-	if len(b) < 2 {
-		return Share{}, fmt.Errorf("%w: %d bytes", ErrMalformedShare, len(b))
-	}
-	if b[0] == 0 {
-		return Share{}, ErrZeroCoordinate
-	}
-	y := make([]byte, len(b)-1)
-	copy(y, b[1:])
-	return Share{X: b[0], Y: y}, nil
-}
-
 // Splitter creates shares with a caller-supplied randomness source, which
 // makes splitting deterministic under test. The zero value is not usable;
 // construct with NewSplitter. A Splitter is safe for concurrent use when its
 // randomness source is.
 type Splitter struct {
 	rand io.Reader //remicss:secret
-
-	// Per-caller coefficient scratch, the idiom of drbg.Pool: scratchSlot
-	// holds one block a lone caller claims and returns with two uncontended
-	// atomics, scratch catches the overflow when splits race. A block is
-	// zeroed before it comes back, so neither holds coefficients at rest.
-	scratchSlot atomic.Pointer[splitScratch]
-	scratch     sync.Pool
 }
 
 // splitScratch is one split's random coefficient block.
@@ -87,24 +57,23 @@ type splitScratch struct {
 	random []byte //remicss:secret
 }
 
+// scratchPool holds the coefficient blocks of every splitter in the process
+// between splits. A block is zeroed before it comes back, so the pool holds
+// no coefficients at rest.
+var scratchPool slotpool.Pool[splitScratch]
+
 // getScratch claims a coefficient block for one SplitInto call.
-func (sp *Splitter) getScratch() *splitScratch {
-	if sc := sp.scratchSlot.Swap(nil); sc != nil {
-		return sc
-	}
-	if sc, _ := sp.scratch.Get().(*splitScratch); sc != nil {
+func getScratch() *splitScratch {
+	if sc := scratchPool.Get(); sc != nil {
 		return sc
 	}
 	return new(splitScratch)
 }
 
 // putScratch zeroes a block claimed by getScratch and returns it.
-func (sp *Splitter) putScratch(sc *splitScratch) {
+func putScratch(sc *splitScratch) {
 	clear(sc.random)
-	if sp.scratchSlot.CompareAndSwap(nil, sc) {
-		return
-	}
-	sp.scratch.Put(sc)
+	scratchPool.Put(sc)
 }
 
 // NewSplitter returns a Splitter drawing coefficients from r. If r is nil,
@@ -182,8 +151,8 @@ func (sp *Splitter) SplitInto(secret []byte, k, m int, shares []Share) ([]Share,
 	// Together with any share the coefficients determine the secret, so the
 	// scratch block is inside the secret perimeter and putScratch zeroes it
 	// on every path out.
-	sc := sp.getScratch()
-	defer sp.putScratch(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	sc.random = growBytes(sc.random, (k-1)*len(secret))
 	//remicss:secret
 	random := sc.random

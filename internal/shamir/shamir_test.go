@@ -223,32 +223,6 @@ func TestCombineValidation(t *testing.T) {
 	})
 }
 
-func TestShareBytesRoundtrip(t *testing.T) {
-	roundtrip := func(x byte, y []byte) bool {
-		if x == 0 || len(y) == 0 {
-			return true
-		}
-		s := Share{X: x, Y: y}
-		parsed, err := ParseShare(s.Bytes())
-		if err != nil {
-			return false
-		}
-		return parsed.X == s.X && bytes.Equal(parsed.Y, s.Y)
-	}
-	if err := quick.Check(roundtrip, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestParseShareErrors(t *testing.T) {
-	if _, err := ParseShare([]byte{1}); !errors.Is(err, ErrMalformedShare) {
-		t.Errorf("short input: got %v, want ErrMalformedShare", err)
-	}
-	if _, err := ParseShare([]byte{0, 1}); !errors.Is(err, ErrZeroCoordinate) {
-		t.Errorf("zero x: got %v, want ErrZeroCoordinate", err)
-	}
-}
-
 // TestQuickRoundtrip property-tests split/combine over random secrets and
 // random valid (k, m).
 func TestQuickRoundtrip(t *testing.T) {

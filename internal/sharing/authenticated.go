@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+
+	"remicss/internal/slotpool"
 )
 
 // Authenticated wraps another scheme and appends an HMAC-SHA256 tag to
@@ -23,7 +25,7 @@ import (
 type Authenticated struct {
 	inner Scheme
 	key   []byte //remicss:secret
-	macs  scratchPool[macState]
+	macs  slotpool.Pool[macState]
 }
 
 // macState is one caller's keyed HMAC-SHA256 with the buffers a tag needs.
@@ -44,7 +46,7 @@ type macState struct {
 
 // getMAC claims a keyed state for one Split or Combine call.
 func (a *Authenticated) getMAC() *macState {
-	if st := a.macs.get(); st != nil {
+	if st := a.macs.Get(); st != nil {
 		return st
 	}
 	return &macState{mac: hmac.New(sha256.New, a.key)}
@@ -54,7 +56,7 @@ func (a *Authenticated) getMAC() *macState {
 // the caller's share buffers.
 func (a *Authenticated) putMAC(st *macState) {
 	clear(st.stripped)
-	a.macs.put(st)
+	a.macs.Put(st)
 }
 
 // tag computes the share's tag into st and returns it; the result is valid

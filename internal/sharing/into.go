@@ -126,7 +126,7 @@ func (s *Shamir) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Sha
 		sp = shamir.NewSplitter(nil)
 	}
 	shares = growShares(shares, m)
-	h := s.headers.get()
+	h := headersPool.Get()
 	if h == nil {
 		h = new(shamirHeaders) //lint:allow noalloc first call per concurrent caller; pooled afterwards
 	}
@@ -145,7 +145,7 @@ func (s *Shamir) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Sha
 		shares[i].Data[0] = out[i].X
 	}
 	clear(raw) // the pooled headers must not keep the caller's buffers reachable
-	s.headers.put(h)
+	headersPool.Put(h)
 	if err != nil {
 		return nil, fmt.Errorf("sharing: %w", err)
 	}

@@ -20,11 +20,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"remicss/internal/drbg"
 	"remicss/internal/shamir"
+	"remicss/internal/slotpool"
 )
 
 // Errors shared by scheme implementations.
@@ -66,37 +65,10 @@ func validate(secret []byte, k, m int) error {
 	return nil
 }
 
-// scratchPool hands each concurrent caller of one scheme instance its own
-// scratch value, in the idiom of drbg.Pool: slot holds one value that a lone
-// caller claims and returns with two uncontended atomics, pool catches the
-// overflow when calls race. get returns nil when both are empty and the
-// caller builds a fresh value. Schemes keep their per-call state here and
-// never in a bare field: the receiver's reader goroutines combine through
-// one scheme instance concurrently.
-type scratchPool[T any] struct {
-	slot atomic.Pointer[T]
-	pool sync.Pool
-}
-
-func (p *scratchPool[T]) get() *T {
-	if v := p.slot.Swap(nil); v != nil {
-		return v
-	}
-	v, _ := p.pool.Get().(*T)
-	return v
-}
-
-func (p *scratchPool[T]) put(v *T) {
-	if !p.slot.CompareAndSwap(nil, v) {
-		p.pool.Put(v)
-	}
-}
-
 // Shamir adapts internal/shamir to the Scheme interface. The zero value uses
 // the shared DRBG pool; NewShamir allows injecting a deterministic source.
 type Shamir struct {
 	splitter *shamir.Splitter
-	headers  scratchPool[shamirHeaders]
 }
 
 // shamirHeaders is the []shamir.Share view of one split's share buffers.
@@ -104,6 +76,12 @@ type Shamir struct {
 type shamirHeaders struct {
 	raw []shamir.Share //remicss:secret
 }
+
+// headersPool gives each concurrent split its own headers, whichever scheme
+// instance it runs through. Schemes keep per-call state in a pool and never
+// in a bare field: the receiver's reader goroutines combine through one
+// scheme instance concurrently.
+var headersPool slotpool.Pool[shamirHeaders]
 
 // NewShamir returns a Shamir scheme drawing randomness from r (nil means
 // the shared DRBG pool, drbg.Shared).

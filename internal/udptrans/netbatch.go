@@ -40,12 +40,12 @@ type netBatcher struct {
 	// refuses a segmented message and forms no runs on that socket
 	// afterwards; the other tiers ignore it.
 	send func(conn *net.UDPConn, rc syscall.RawConn, plain *atomic.Bool, bufs [][]byte) (written, calls int, err error)
-	// newRecv binds one ServeBatch socket and the buffers its reader owns,
+	// newRecv binds one served socket and the buffers its reader owns,
 	// setting whatever socket option the tier receives with (gso: UDP_GRO),
 	// and returns that reader's receive function.
 	newRecv func(conn *net.UDPConn, rc syscall.RawConn, bufs [][]byte) recvFunc
-	// slots is how many receive buffers ServeBatch gives each socket under
-	// this tier, i.e. how many messages one kernel entry may return.
+	// slots is how many receive buffers a reader holds under this tier,
+	// i.e. how many messages one kernel entry may return.
 	slots int
 }
 

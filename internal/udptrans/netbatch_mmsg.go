@@ -17,6 +17,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"unsafe"
+
+	"remicss/internal/slotpool"
 )
 
 // mmsghdr mirrors struct mmsghdr: a msghdr plus the per-message byte count
@@ -77,12 +79,8 @@ type mmsgScratch struct {
 	recvFn func(fd uintptr) bool // bound recvLoop, allocated once
 }
 
-// Recycling goes through an atomic slot with the pool as overflow so the
-// zero-allocation pins hold under the race detector (see batchScratch).
-var (
-	mmsgSlot atomic.Pointer[mmsgScratch]
-	mmsgPool = sync.Pool{New: func() any { return newMmsgScratch() }}
-)
+// mmsgPool holds the send path's working sets between bursts.
+var mmsgPool slotpool.Pool[mmsgScratch]
 
 func newMmsgScratch() *mmsgScratch {
 	sc := new(mmsgScratch)
@@ -93,10 +91,10 @@ func newMmsgScratch() *mmsgScratch {
 
 // getMmsgScratch claims a private working set for one batched send.
 func getMmsgScratch() *mmsgScratch {
-	if sc := mmsgSlot.Swap(nil); sc != nil {
+	if sc := mmsgPool.Get(); sc != nil {
 		return sc
 	}
-	return mmsgPool.Get().(*mmsgScratch)
+	return newMmsgScratch()
 }
 
 // grow sizes the scratch for n datagrams or slots — at most as many
@@ -135,9 +133,6 @@ func (sc *mmsgScratch) release() {
 		sc.iovs[i].Base = nil
 	}
 	sc.plain = nil
-	if mmsgSlot.CompareAndSwap(nil, sc) {
-		return
-	}
 	mmsgPool.Put(sc)
 }
 

@@ -194,8 +194,8 @@ func differentialRun(t *testing.T, burst [][]byte, sendMode, recvMode string) {
 	}
 	reads := counter(reg, "udp_batch_reads_total")
 	switch {
-	case recvMode == "concurrent" && reads != 0:
-		t.Fatalf("ServeConcurrent advanced udp_batch_reads_total to %d", reads)
+	case recvMode == "concurrent" && reads != n:
+		t.Fatalf("ServeConcurrent spent %d kernel entries receiving %d datagrams, want one each", reads, n)
 	case recvMode == "portable" && reads != n:
 		t.Fatalf("portable mode spent %d kernel entries receiving %d datagrams", reads, n)
 	case recvMode == "gso" && sendMode == "gso" && reads >= n:
@@ -205,86 +205,117 @@ func differentialRun(t *testing.T, burst [][]byte, sendMode, recvMode string) {
 	}
 }
 
-// TestSendBatchPacing checks the token bucket applies to a burst exactly as
-// it would to per-datagram Sends: the admitted prefix is sent, the rest are
-// counted as paced drops.
-func TestSendBatchPacing(t *testing.T) {
-	lis, err := Listen([]string{"127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-
-	link, err := Dial(lis.Addrs()[0], 1, 4) // 4-token bucket, 1 pps refill
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	reg := obs.NewRegistry()
-	link.Instrument(reg, 0)
-
-	burst := make([][]byte, 10)
-	for i := range burst {
-		burst[i] = []byte{byte(i)}
-	}
-	if n := link.SendBatch(burst); n != 4 {
-		t.Fatalf("SendBatch accepted %d, want the 4-token burst", n)
-	}
-	paced := reg.Counter("udp_paced_drops_total", obs.Label{Key: "channel", Value: "0"}).Value()
-	if paced != 6 {
-		t.Fatalf("udp_paced_drops_total = %d, want 6", paced)
-	}
-	sent := reg.Counter("udp_sent_datagrams_total", obs.Label{Key: "channel", Value: "0"}).Value()
-	if sent != 4 {
-		t.Fatalf("udp_sent_datagrams_total = %d, want 4", sent)
-	}
+// linkOutcome is what offering a list of datagrams to a Link comes to.
+type linkOutcome struct {
+	accepted          int
+	sent, paced, lost int64
 }
 
-// TestSendBatchClosed checks a closed link refuses the whole burst.
-func TestSendBatchClosed(t *testing.T) {
-	lis, err := Listen([]string{"127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	link, err := Dial(lis.Addrs()[0], 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	link.Close()
-	if n := link.SendBatch([][]byte{{1}, {2}}); n != 0 {
-		t.Fatalf("closed link accepted %d datagrams", n)
-	}
-}
-
-// TestSendBatchImpairedLoss checks impairment loss applies per datagram
-// inside a burst and the lost ones still count as accepted (Send semantics:
-// accepted, then lost on the wire).
-func TestSendBatchImpairedLoss(t *testing.T) {
-	lis, err := Listen([]string{"127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	link, err := DialImpaired(lis.Addrs()[0], 0, 0, Impairment{Loss: 0.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	reg := obs.NewRegistry()
-	link.Instrument(reg, 0)
-
-	burst := make([][]byte, 100)
-	for i := range burst {
-		burst[i] = []byte{byte(i)}
-	}
-	if n := link.SendBatch(burst); n != len(burst) {
-		t.Fatalf("impaired burst accepted %d of %d", n, len(burst))
-	}
-	lost := reg.Counter("udp_impairment_lost_total", obs.Label{Key: "channel", Value: "0"}).Value()
-	sent := reg.Counter("udp_sent_datagrams_total", obs.Label{Key: "channel", Value: "0"}).Value()
-	if lost == 0 || sent == 0 || lost+sent != int64(len(burst)) {
-		t.Fatalf("lost %d + sent %d != %d", lost, sent, len(burst))
+// TestLinkAdmission runs each way a link can dispose of a datagram — closed,
+// paced, lost or delayed by the impairment, written — through both entry
+// points, on a fresh link with the same seed: Send once per datagram and one
+// SendBatch must accept the same count, leave the same udp_sent / udp_paced
+// / udp_lost counters (they share admit, divert and wrote), and every
+// datagram counted as sent must arrive, a delayed one not before its delay.
+func TestLinkAdmission(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rate   float64
+		burst  int
+		impair Impairment
+		closed bool
+		offer  int
+		check  func(t *testing.T, o linkOutcome)
+	}{
+		{name: "paced", rate: 1, burst: 4, offer: 10, check: func(t *testing.T, o linkOutcome) {
+			if o != (linkOutcome{accepted: 4, sent: 4, paced: 6}) {
+				t.Fatalf("%+v, want the 4-token burst sent and 6 paced drops", o)
+			}
+		}},
+		{name: "closed", closed: true, offer: 2, check: func(t *testing.T, o linkOutcome) {
+			if o != (linkOutcome{paced: 2}) {
+				t.Fatalf("%+v, want a closed link to refuse both", o)
+			}
+		}},
+		{name: "lossy", impair: Impairment{Loss: 0.5, Seed: 7}, offer: 100, check: func(t *testing.T, o linkOutcome) {
+			// Lost datagrams still count as accepted: accepted, then lost on
+			// the wire.
+			if o.accepted != 100 || o.lost == 0 || o.sent == 0 || o.lost+o.sent != 100 || o.paced != 0 {
+				t.Fatalf("%+v, want all 100 accepted, split between lost and sent", o)
+			}
+		}},
+		{name: "delayed", impair: Impairment{Delay: 100 * time.Millisecond}, offer: 3, check: func(t *testing.T, o linkOutcome) {
+			if o != (linkOutcome{accepted: 3, sent: 3}) {
+				t.Fatalf("%+v, want all 3 accepted and counted as sent", o)
+			}
+		}},
+		{name: "paced-lossy-delayed", rate: 1, burst: 8, impair: Impairment{Loss: 0.3, Delay: 20 * time.Millisecond, Seed: 11}, offer: 12, check: func(t *testing.T, o linkOutcome) {
+			if o.accepted != 8 || o.paced != 4 || o.lost == 0 || o.lost+o.sent != 8 {
+				t.Fatalf("%+v, want 8 admitted, split between lost and sent, and 4 paced drops", o)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(t *testing.T, offer func(l *Link, datagrams [][]byte) int) linkOutcome {
+				lis, err := Listen([]string{"127.0.0.1:0"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer lis.Close()
+				arrivals := make(chan time.Time, tc.offer)
+				lis.ServeConcurrent(func([]byte) { arrivals <- time.Now() })
+				link, err := DialImpaired(lis.Addrs()[0], tc.rate, tc.burst, tc.impair)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer link.Close()
+				reg := obs.NewRegistry()
+				link.Instrument(reg, 0)
+				if tc.closed {
+					link.Close()
+				}
+				datagrams := make([][]byte, tc.offer)
+				for i := range datagrams {
+					datagrams[i] = []byte{byte(i)}
+				}
+				start := time.Now()
+				o := linkOutcome{
+					accepted: offer(link, datagrams),
+					sent:     counter(reg, "udp_sent_datagrams_total"),
+					paced:    counter(reg, "udp_paced_drops_total"),
+					lost:     counter(reg, "udp_impairment_lost_total"),
+				}
+				tc.check(t, o)
+				for i := int64(0); i < o.sent; i++ {
+					select {
+					case at := <-arrivals:
+						if early := tc.impair.Delay*8/10 - at.Sub(start); early > 0 {
+							t.Fatalf("a datagram arrived %v before its %v delay", early, tc.impair.Delay)
+						}
+					case <-time.After(2 * time.Second):
+						t.Fatalf("%d of the %d datagrams counted as sent arrived", i, o.sent)
+					}
+				}
+				return o
+			}
+			var single, batch linkOutcome
+			t.Run("Send", func(t *testing.T) {
+				single = run(t, func(l *Link, datagrams [][]byte) (accepted int) {
+					for _, d := range datagrams {
+						if l.Send(d) {
+							accepted++
+						}
+					}
+					return accepted
+				})
+			})
+			t.Run("SendBatch", func(t *testing.T) {
+				batch = run(t, (*Link).SendBatch)
+			})
+			if single != batch {
+				t.Fatalf("Send came to %+v, SendBatch to %+v", single, batch)
+			}
+		})
 	}
 }
 

@@ -90,23 +90,13 @@ type Link struct {
 	plain atomic.Bool
 
 	// Optional observability, attached via Instrument; all nil when
-	// uninstrumented. Handles are atomic, so Send updates them outside mu.
+	// uninstrumented, all set together. Handles are atomic, so the send
+	// paths update them outside mu.
 	metSent       *obs.Counter
 	metPaced      *obs.Counter
 	metLost       *obs.Counter
 	metSockErr    *obs.Counter
 	metBatchWrite *obs.Counter
-}
-
-// noteSockErr counts a failed socket write and retains the error for
-// LastSendError.
-func (l *Link) noteSockErr(err error) {
-	if l.metSockErr != nil {
-		l.metSockErr.Inc()
-	}
-	l.mu.Lock()
-	l.lastErr = err
-	l.mu.Unlock()
 }
 
 // LastSendError returns the most recent socket-level write error, or nil
@@ -120,11 +110,14 @@ func (l *Link) LastSendError() error {
 	return l.lastErr
 }
 
-// Instrument registers per-channel series on reg and mirrors Send outcomes
-// into them: udp_sent_datagrams_total (socket writes issued, immediate or
-// deferred), udp_paced_drops_total (sends refused by pacing or a closed
-// link), udp_impairment_lost_total (datagrams the userspace impairment
-// dropped), and udp_socket_errors_total (socket writes that failed), all
+// Instrument registers per-channel series on reg and mirrors Send and
+// SendBatch outcomes into them: udp_sent_datagrams_total (datagrams the
+// socket took, or will take when their impairment delay ends),
+// udp_paced_drops_total (sends refused by pacing or a closed link),
+// udp_impairment_lost_total (datagrams the userspace impairment dropped),
+// udp_socket_errors_total (socket writes that failed) and
+// udp_batch_writes_total (kernel entries spent writing: one per datagram
+// through Send, as few as the batch mode allows through SendBatch), all
 // labeled {channel="i"}. Call before traffic starts.
 func (l *Link) Instrument(reg *obs.Registry, channel int) {
 	label := obs.Label{Key: "channel", Value: strconv.Itoa(channel)}
@@ -230,224 +223,165 @@ func (l *Link) Backlog() time.Duration {
 	return time.Duration((1 - l.tokens) / l.rate * float64(time.Second))
 }
 
-// Send implements remicss.Link. It returns false when pacing forbids the
-// send or the link is closed; socket-level errors also report false (UDP is
-// best-effort, so the protocol treats them as drops).
-func (l *Link) Send(datagram []byte) bool {
+// admit is where the link decides how many of n datagrams offered now it
+// takes: none when closed, at most the bucket's whole tokens when paced. The
+// refused rest are counted as paced drops.
+func (l *Link) admit(n int) int {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		if l.metPaced != nil {
-			l.metPaced.Inc()
+	admit := n
+	switch {
+	case l.closed:
+		admit = 0
+	case l.rate > 0:
+		l.refill(time.Now())
+		if t := int(l.tokens); t < admit {
+			admit = t
 		}
+		l.tokens -= float64(admit)
+	}
+	l.mu.Unlock()
+	if admit < n && l.metPaced != nil {
+		l.metPaced.Add(int64(n - admit))
+	}
+	return admit
+}
+
+// divert applies the userspace impairment to one admitted datagram and
+// reports whether that consumed it: dropped as lost, or copied and left to a
+// timer, counted as sent either way it goes. On false the caller writes the
+// datagram now.
+func (l *Link) divert(datagram []byte) bool {
+	if l.impair.Loss > 0 {
+		l.mu.Lock()
+		lost := l.rng.Float64() < l.impair.Loss
+		l.mu.Unlock()
+		if lost {
+			if l.metLost != nil {
+				l.metLost.Inc()
+			}
+			return true // accepted, then "lost on the wire"
+		}
+	}
+	if l.impair.Delay == 0 {
 		return false
 	}
-	if l.rate > 0 {
-		l.refill(time.Now())
-		if l.tokens < 1 {
-			l.mu.Unlock()
-			if l.metPaced != nil {
-				l.metPaced.Inc()
-			}
-			return false
-		}
-		l.tokens--
-	}
-	impaired := l.impair.enabled()
-	var drop bool
-	if impaired && l.impair.Loss > 0 {
-		drop = l.rng.Float64() < l.impair.Loss
-	}
-	delay := l.impair.Delay
-	l.mu.Unlock()
-
-	if drop {
-		if l.metLost != nil {
-			l.metLost.Inc()
-		}
-		return true // accepted, then "lost on the wire"
-	}
-	if impaired && delay > 0 {
-		// The datagram leaves later; copy it since the caller may reuse the
-		// buffer.
-		buf := make([]byte, len(datagram))
-		copy(buf, datagram)
-		if l.metSent != nil {
-			l.metSent.Inc()
-		}
-		time.AfterFunc(delay, func() {
-			l.mu.Lock()
-			closed := l.closed
-			l.mu.Unlock()
-			if !closed {
-				if _, err := l.conn.Write(buf); err != nil {
-					l.noteSockErr(err)
-				}
-			}
-		})
-		return true
-	}
-	_, err := l.conn.Write(datagram)
+	// The datagram leaves later; copied because the caller may reuse the
+	// buffer.
+	buf := append([]byte(nil), datagram...)
 	if l.metSent != nil {
 		l.metSent.Inc()
 	}
-	if err != nil {
-		l.noteSockErr(err)
-		return false
-	}
+	time.AfterFunc(l.impair.Delay, func() {
+		l.mu.Lock()
+		closed := l.closed
+		l.mu.Unlock()
+		if !closed {
+			_, err := l.conn.Write(buf)
+			l.wrote(0, 1, err) // counted as sent when it was accepted
+		}
+	})
 	return true
 }
 
-// batchScratch is SendBatch's per-call working set, recycled so the
-// steady-state batched send path does not allocate. The datagram slice
-// headers are cleared after each call (retaining them would pin caller
-// buffers, breaking the Link no-retention contract). Recycling goes
-// through an atomic slot with a sync.Pool overflow, the same idiom as the
-// sender's scratch: the pool alone drops Put items under the race
-// detector, which would make the zero-allocation pins flaky.
-type batchScratch struct {
-	direct [][]byte
-}
-
-var (
-	batchScratchSlot atomic.Pointer[batchScratch]
-	batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-)
-
-// getBatchScratch claims a private working set for one SendBatch call.
-func getBatchScratch() *batchScratch {
-	if sc := batchScratchSlot.Swap(nil); sc != nil {
-		return sc
+// wrote accounts for socket work: datagrams the kernel took, kernel entries
+// spent, and the error that stopped it, if any, which LastSendError retains.
+func (l *Link) wrote(written, calls int, err error) {
+	if l.metSent != nil {
+		l.metSent.Add(int64(written))
+		l.metBatchWrite.Add(int64(calls))
 	}
-	return batchScratchPool.Get().(*batchScratch)
-}
-
-// putBatchScratch returns a working set claimed by getBatchScratch.
-func putBatchScratch(sc *batchScratch) {
-	if batchScratchSlot.CompareAndSwap(nil, sc) {
+	if err == nil {
 		return
 	}
-	batchScratchPool.Put(sc)
+	if l.metSockErr != nil {
+		l.metSockErr.Inc()
+	}
+	l.mu.Lock()
+	l.lastErr = err
+	l.mu.Unlock()
+}
+
+// Send implements remicss.Link. It returns false when pacing forbids the
+// send or the link is closed; socket-level errors also report false (UDP is
+// best-effort, so the protocol treats them as drops). Pacing, impairment and
+// accounting are SendBatch's (admit, divert, wrote); only the write differs,
+// one datagram straight to the socket with no burst built around it.
+func (l *Link) Send(datagram []byte) bool {
+	if l.admit(1) == 0 {
+		return false
+	}
+	if l.impair.enabled() && l.divert(datagram) {
+		return true
+	}
+	_, err := l.conn.Write(datagram)
+	if err != nil {
+		l.wrote(0, 1, err)
+		return false
+	}
+	l.wrote(1, 1, nil)
+	return true
 }
 
 // SendBatch sends a burst of datagrams through the link, spending as few
 // kernel entries — and under the "gso" mode as few traversals of the
 // kernel's network stack — as the active batch mode allows (see BatchMode).
 // The observable behavior matches calling Send once per datagram — pacing,
-// impairment, and error accounting are the same, and the receiver sees the
-// same datagrams with the same boundaries in the same order — except that
-// the token bucket is consulted once for the whole burst and the unimpaired
-// datagrams enter the kernel together. Under "gso" each run of
-// equal-length datagrams enters it as one message that the kernel (or the
-// NIC) cuts back into datagrams; if this link's route refuses such a
-// message the run is re-sent as plain messages within the same call and
-// the link forms no runs afterwards, which is not an error: nothing is
-// lost, LastSendError stays nil and udp_socket_errors_total does not move.
-// udp_sent_datagrams_total counts datagrams and udp_batch_writes_total
-// kernel entries under every mode. It returns how many datagrams were
-// accepted, i.e. the count for which Send would have returned true:
-// pacing-refused datagrams past the admitted prefix and datagrams failing
-// at the socket are excluded, impairment-lost ones (accepted, then "lost on
-// the wire") are included. Like Send, the datagram buffers are not retained
-// after return.
+// impairment, and error accounting are the same code, and the receiver sees
+// the same datagrams with the same boundaries in the same order — except
+// that the token bucket is consulted once for the whole burst and the
+// datagrams enter the kernel together: an unimpaired link hands the admitted
+// prefix of the caller's slice to the socket layer as it is. Under "gso"
+// each run of equal-length datagrams enters the kernel as one message that
+// the kernel (or the NIC) cuts back into datagrams; if this link's route
+// refuses such a message the run is re-sent as plain messages within the
+// same call and the link forms no runs afterwards, which is not an error:
+// nothing is lost, LastSendError stays nil and udp_socket_errors_total does
+// not move. udp_sent_datagrams_total counts datagrams and
+// udp_batch_writes_total kernel entries under every mode. It returns how
+// many datagrams were accepted, i.e. the count for which Send would have
+// returned true: pacing-refused datagrams past the admitted prefix and
+// datagrams failing at the socket are excluded, impairment-lost ones
+// (accepted, then "lost on the wire") are included. Like Send, the datagram
+// buffers are not retained after return.
 func (l *Link) SendBatch(datagrams [][]byte) int {
-	if len(datagrams) == 0 {
-		return 0
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		if l.metPaced != nil {
-			l.metPaced.Add(int64(len(datagrams)))
+	direct := datagrams[:l.admit(len(datagrams))]
+	accepted := 0
+	if l.impair.enabled() {
+		// Emulation only, and a delayed datagram allocates its copy anyway:
+		// what the impairment leaves is gathered into a list of its own.
+		admitted := direct
+		direct = nil
+		for _, d := range admitted {
+			if l.divert(d) {
+				accepted++
+			} else {
+				direct = append(direct, d)
+			}
 		}
-		return 0
 	}
-	admit := len(datagrams)
-	if l.rate > 0 {
-		l.refill(time.Now())
-		if t := int(l.tokens); t < admit {
-			admit = t
-		}
-		if admit < 0 {
-			admit = 0
-		}
-		l.tokens -= float64(admit)
+	if len(direct) == 0 {
+		return accepted
 	}
-	// Partition the admitted prefix while still holding mu (the loss RNG is
-	// guarded by it), deferring counter updates and socket work to after the
-	// unlock.
-	sc := getBatchScratch()
-	sc.direct = sc.direct[:0]
-	var lost, delayed int
-	impaired := l.impair.enabled()
-	delay := l.impair.Delay
-	for _, d := range datagrams[:admit] {
-		if impaired && l.impair.Loss > 0 && l.rng.Float64() < l.impair.Loss {
-			lost++
-			continue
-		}
-		if impaired && delay > 0 {
-			// Deferred datagrams leave on one timer each, exactly as in
-			// Send; copied because the caller may reuse the buffer.
-			buf := make([]byte, len(d))
-			copy(buf, d)
-			delayed++
-			time.AfterFunc(delay, func() {
-				l.mu.Lock()
-				closed := l.closed
-				l.mu.Unlock()
-				if !closed {
-					if _, err := l.conn.Write(buf); err != nil {
-						l.noteSockErr(err)
-					}
-				}
-			})
-			continue
-		}
-		sc.direct = append(sc.direct, d)
+	nb := batcher()
+	if l.rc == nil {
+		nb = &portableBatcher
 	}
-	l.mu.Unlock()
-
-	if paced := len(datagrams) - admit; paced > 0 && l.metPaced != nil {
-		l.metPaced.Add(int64(paced))
-	}
-	if lost > 0 && l.metLost != nil {
-		l.metLost.Add(int64(lost))
-	}
-	if delayed > 0 && l.metSent != nil {
-		l.metSent.Add(int64(delayed))
-	}
-	accepted := lost + delayed
-	if len(sc.direct) > 0 {
-		nb := batcher()
-		if l.rc == nil {
-			nb = &portableBatcher
-		}
-		written, calls, err := nb.send(l.conn, l.rc, &l.plain, sc.direct)
-		if l.metSent != nil {
-			l.metSent.Add(int64(written))
-		}
-		if l.metBatchWrite != nil {
-			l.metBatchWrite.Add(int64(calls))
-		}
-		if err != nil {
-			l.noteSockErr(err)
-		}
-		accepted += written
-	}
-	for i := range sc.direct {
-		sc.direct[i] = nil
-	}
-	putBatchScratch(sc)
-	return accepted
+	written, calls, err := nb.send(l.conn, l.rc, &l.plain, direct)
+	l.wrote(written, calls, err)
+	return accepted + written
 }
 
 // LocalAddr returns the local socket address.
 func (l *Link) LocalAddr() net.Addr { return l.conn.LocalAddr() }
 
-// Close releases the socket.
+// Close releases the socket. Only the first call does; later ones return
+// nil.
 func (l *Link) Close() error {
 	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil
+	}
 	l.closed = true
 	l.mu.Unlock()
 	return l.conn.Close()
@@ -477,9 +411,10 @@ type Listener struct {
 
 // Instrument registers per-socket receive series on reg —
 // udp_recv_datagrams_total{channel="i"}, udp_recv_bytes_total{channel="i"},
-// and udp_batch_reads_total{channel="i"} (kernel entries spent receiving,
-// only advanced by ServeBatch), indexed in Addrs order — and updates them
-// from the reader goroutines. Call before serving starts.
+// and udp_batch_reads_total{channel="i"} (kernel entries spent receiving:
+// one per datagram under ServeConcurrent, fewer under ServeBatch), indexed
+// in Addrs order — and updates them from the reader goroutines. Call before
+// serving starts.
 func (l *Listener) Instrument(reg *obs.Registry) {
 	l.metRecv = make([]*obs.Counter, len(l.conns))
 	l.metRecvBytes = make([]*obs.Counter, len(l.conns))
@@ -556,25 +491,12 @@ func (l *Listener) Addrs() []string {
 // remicss.Receiver.HandleDatagram, whose sharded reassembly state lets
 // the per-socket goroutines proceed in parallel (they contend only when
 // datagrams hash to the same shard) — one slow channel then cannot stall
-// ingest from the others. Returns immediately; Close stops the readers and
-// waits for them.
+// ingest from the others. It is ServeBatch's loop at depth one, whatever the
+// batch mode: one 64 KiB buffer per socket, one datagram per kernel entry,
+// no UDP_GRO. Returns immediately; Close stops the readers and waits for
+// them.
 func (l *Listener) ServeConcurrent(handle func(datagram []byte)) {
-	for i, conn := range l.conns {
-		i, conn := i, conn
-		l.wg.Add(1)
-		go func() {
-			defer l.wg.Done()
-			buf := make([]byte, MaxDatagram)
-			for {
-				n, err := conn.Read(buf)
-				if err != nil {
-					return // closed
-				}
-				l.countRecv(i, n)
-				handle(buf[:n])
-			}
-		}()
-	}
+	l.serve(&portableBatcher, handle)
 }
 
 // recvBatch is how many messages one ServeBatch kernel entry may return
@@ -597,19 +519,25 @@ const recvBatch = 16
 // serialization or copying, like ServeConcurrent: the buffers are reused
 // for the next batch, so the handler must not retain its argument after
 // returning. Under bursty ingest this divides the syscalls-per-datagram
-// cost by up to the tier's slot count (see recvBatch). Under the "gso" mode ServeBatch also enables
-// UDP_GRO on its sockets, so a run of equal-length datagrams that the
-// sender's kernel or the NIC kept together arrives as one buffer with its
-// segment size; the handler is still called once per datagram, on each
-// segment-sized slice of that buffer in order, and
+// cost by up to the tier's slot count (see recvBatch). Under the "gso" mode
+// ServeBatch also enables UDP_GRO on its sockets, so a run of equal-length
+// datagrams that the sender's kernel or the NIC kept together arrives as
+// one buffer with its segment size; the handler is still called once per
+// datagram, on each segment-sized slice of that buffer in order, and
 // udp_recv_datagrams_total / udp_recv_bytes_total still count datagrams
 // (udp_batch_reads_total counts kernel entries, so it can fall far below
-// them). Delivered datagrams are identical to the other serving modes'.
-// Returns immediately; Close stops the readers and waits for them.
+// them). Delivered datagrams are identical to ServeConcurrent's. Returns
+// immediately; Close stops the readers and waits for them.
 func (l *Listener) ServeBatch(handle func(datagram []byte)) {
+	l.serve(batcher(), handle)
+}
+
+// serve is the listener's one read loop, run by a goroutine per socket over
+// tier's receive function and slot count; a socket without a raw connection
+// reads through the portable tier.
+func (l *Listener) serve(tier *netBatcher, handle func(datagram []byte)) {
 	for i, conn := range l.conns {
-		i, conn, rc := i, conn, l.rcs[i]
-		nb := batcher()
+		i, conn, rc, nb := i, conn, l.rcs[i], tier
 		if rc == nil {
 			nb = &portableBatcher
 		}
