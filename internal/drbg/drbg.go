@@ -25,9 +25,11 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -42,7 +44,15 @@ const (
 	// AES work. Read serves from this buffer and scrubs bytes as they
 	// leave, so backtracking resistance holds for served output even
 	// against a later memory compromise.
-	batchLen = 16 * 1024
+	batchLen    = 16 * 1024
+	batchBlocks = batchLen / blockLen
+
+	// refillBlocks is the counter span one refill consumes: the batch's
+	// keystream blocks plus the update's three.
+	refillBlocks = batchBlocks + seedLen/blockLen
+
+	// schedLen is the AES-256 round-key schedule: 15 round keys.
+	schedLen = 15 * blockLen
 
 	// reseedAfter is the generated-byte budget after which an
 	// entropy-backed instance folds fresh crypto/rand output into its
@@ -72,6 +82,10 @@ type DRBG struct {
 	// are adopted. It lives here because a local passed to the cipher.Block
 	// interface would be heap-allocated per refill; update clears it.
 	temp [seedLen]byte //remicss:secret
+
+	// sched is the VAES refill's expansion of key, live only while that
+	// refill runs; generateVAES clears it before returning.
+	sched [schedLen]byte //remicss:secret
 
 	generated int       // bytes generated since the last (re)seed
 	pid       int       // process id at the last (re)seed; fork detector
@@ -138,30 +152,56 @@ func (d *DRBG) Read(p []byte) (int, error) {
 }
 
 // refill runs one spec-level Generate of batchLen bytes: keystream blocks
-// AES_K(V+1), AES_K(V+2), … produced through the stdlib CTR path (which
-// dispatches to the hardware AES units), then the counter advanced past
-// the consumed blocks and a no-input update that replaces the key — the
+// AES_K(V+1), AES_K(V+2), …, then a no-input update that encrypts the
+// next three counter blocks and adopts them as key and counter — the
 // spec's backtracking-resistance step, here also the fork/interval reseed
-// point for entropy-backed instances. The key schedule built for the
-// keystream also serves the update, which still encrypts under the key the
-// batch was generated with; the schedule cannot outlive the refill because
-// that update replaces the key.
+// point for entropy-backed instances. Both the keystream and the update
+// run under one key schedule, which cannot outlive the refill because that
+// update replaces the key.
+//
+// Where the CPU has VAES, generateVAES does both without allocating.
+// generateCTR is the stdlib path: on every other CPU, and for the one batch
+// in 2^54 whose counters would carry out of the low 64 bits, which the
+// VAES routine's per-lane adds do not propagate.
 func (d *DRBG) refill() error {
 	if d.entropy != nil && (d.generated >= reseedAfter || d.pid != os.Getpid()) {
 		if err := d.reseed(); err != nil {
 			return err
 		}
 	}
+	if useVAES && vaesCovers(&d.v) {
+		d.generateVAES()
+	} else {
+		d.generateCTR()
+	}
+	d.generated += batchLen
+	d.off = 0
+	return nil
+}
+
+// generateCTR is refill's generate-and-update through cipher.NewCTR (which
+// dispatches to the hardware AES units). It allocates the cipher and the
+// CTR stream; the update reuses the cipher.
+func (d *DRBG) generateCTR() {
 	b := d.block()
 	incr(&d.v)
 	ctr := cipher.NewCTR(b, d.v[:])
 	clear(d.buf[:])
 	ctr.XORKeyStream(d.buf[:], d.buf[:])
-	addTo(&d.v, batchLen/blockLen-1)
+	addTo(&d.v, batchBlocks-1)
 	d.update(b, nil)
-	d.generated += batchLen
-	d.off = 0
-	return nil
+}
+
+// vaesCovers reports whether the counters of the refill starting from v —
+// V+1 … V+refillBlocks — share v's high 64 bits.
+func vaesCovers(v *[blockLen]byte) bool {
+	_, lo := counterWords(v)
+	return lo <= math.MaxUint64-refillBlocks
+}
+
+// counterWords splits the big-endian counter into its high and low qwords.
+func counterWords(v *[blockLen]byte) (hi, lo uint64) {
+	return binary.BigEndian.Uint64(v[:8]), binary.BigEndian.Uint64(v[8:])
 }
 
 // reseed folds 48 fresh entropy bytes into the state via update. Against
@@ -195,11 +235,20 @@ func (d *DRBG) block() cipher.Block {
 // which is what makes a captured state useless for reconstructing earlier
 // output.
 func (d *DRBG) update(b cipher.Block, material *[seedLen]byte) {
-	temp := &d.temp
 	for i := 0; i < seedLen; i += blockLen {
 		incr(&d.v)
-		b.Encrypt(temp[i:i+blockLen], d.v[:])
+		b.Encrypt(d.temp[i:i+blockLen], d.v[:])
 	}
+	d.adopt(material)
+}
+
+// adopt finishes CTR_DRBG_Update once temp holds the three encrypted
+// counter blocks: XOR in material (nil is the zero input), take the result
+// as the new key and counter, and clear temp.
+//
+//remicss:noalloc
+func (d *DRBG) adopt(material *[seedLen]byte) {
+	temp := &d.temp
 	if material != nil {
 		for i := range temp {
 			temp[i] ^= material[i]

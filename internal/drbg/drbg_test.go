@@ -3,9 +3,14 @@ package drbg
 import (
 	"bytes"
 	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/big"
+	mathrand "math/rand"
 	"os"
 	"testing"
 )
@@ -371,18 +376,131 @@ func TestSteadyStateReadDoesNotAllocate(t *testing.T) {
 }
 
 func TestRefillAllocBudget(t *testing.T) {
-	d := NewDeterministic([]byte("refill pin"))
-	p := make([]byte, batchLen)
-	// Every Read below drains exactly one batch, so each run pays one
-	// refill: one AES key schedule (shared by the keystream and the rekey
-	// that follows it) and one CTR stream over it, amortized over 16 KiB.
-	// The budget leaves one for stdlib internals and catches a second
-	// cipher, or a per-read or per-block allocation, creeping in.
-	if avg := testing.AllocsPerRun(20, func() {
-		if _, err := io.ReadFull(d, p); err != nil {
+	refillAllocs := func() float64 {
+		d := NewDeterministic([]byte("refill pin"))
+		p := make([]byte, batchLen)
+		// Every Read below drains exactly one batch, so each run pays
+		// one refill.
+		return testing.AllocsPerRun(20, func() {
+			if _, err := io.ReadFull(d, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if useVAES {
+		// The schedule is a field of the state and the update encrypts
+		// under it: nothing per refill.
+		if avg := refillAllocs(); avg != 0 {
+			t.Fatalf("VAES refill allocates %.1f times per batch, want 0", avg)
+		}
+	}
+	forceCTR(t)
+	// One AES key schedule (shared by the keystream and the rekey that
+	// follows it) and one CTR stream over it, amortized over 16 KiB. The
+	// budget leaves one for stdlib internals and catches a second cipher,
+	// or a per-read or per-block allocation, creeping in.
+	if avg := refillAllocs(); avg > 3 {
+		t.Fatalf("cipher.NewCTR refill allocates %.1f times per batch, budget 3", avg)
+	}
+}
+
+// ---- the VAES keystream against the stdlib ---------------------------------
+
+// forceCTR puts every refill on the cipher.NewCTR path until the test ends.
+func forceCTR(t *testing.T) {
+	t.Helper()
+	prev := useVAES
+	useVAES = false
+	t.Cleanup(func() { useVAES = prev })
+}
+
+// TestVAESKeystreamMatchesCTR checks one refill against cipher.NewCTR from
+// V+1: the 16 KiB batch is the first batchLen bytes of that keystream and
+// the update's new key and counter are the next 48, so a refill is exactly
+// keystream bytes [0, batchLen+seedLen) whichever path produced it. Counters
+// whose low qword would wrap inside the refill must take the fallback and
+// still match, including the full 128-bit wrap.
+func TestVAESKeystreamMatchesCTR(t *testing.T) {
+	t.Logf("VAES keystream active: %v", useVAES)
+	rng := mathrand.New(mathrand.NewSource(11))
+	type counter struct {
+		name   string
+		hi, lo uint64
+		vaes   bool // whether the VAES path covers the refill
+	}
+	cases := []counter{
+		{"last low qword that fits", rng.Uint64(), math.MaxUint64 - refillBlocks, true},
+		{"update block wraps", rng.Uint64(), math.MaxUint64 - refillBlocks + 1, false},
+		{"batch wraps midway", rng.Uint64(), math.MaxUint64 - 500, false},
+		{"first block carries into high qword", rng.Uint64(), math.MaxUint64, false},
+		{"128-bit wrap", math.MaxUint64, math.MaxUint64 - 10, false},
+		{"zero counter", 0, 0, true},
+	}
+	for i := 0; i < 8; i++ {
+		cases = append(cases, counter{fmt.Sprintf("random %d", i), rng.Uint64(), rng.Uint64() >> 1, true})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := &DRBG{off: batchLen}
+			rng.Read(d.key[:])
+			binary.BigEndian.PutUint64(d.v[:8], c.hi)
+			binary.BigEndian.PutUint64(d.v[8:], c.lo)
+			if got := vaesCovers(&d.v); got != c.vaes {
+				t.Fatalf("vaesCovers(%x) = %v, want %v", d.v, got, c.vaes)
+			}
+
+			block, err := aes.NewCipher(d.key[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			iv := d.v
+			incr(&iv)
+			want := make([]byte, batchLen+seedLen)
+			cipher.NewCTR(block, iv[:]).XORKeyStream(want, want)
+
+			if err := d.refill(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(d.buf[:], want[:batchLen]) {
+				t.Fatal("batch keystream differs from cipher.NewCTR")
+			}
+			if !bytes.Equal(d.key[:], want[batchLen:batchLen+keyLen]) || !bytes.Equal(d.v[:], want[batchLen+keyLen:]) {
+				t.Fatal("update's key and counter differ from cipher.NewCTR")
+			}
+			if d.sched != [schedLen]byte{} || d.temp != [seedLen]byte{} {
+				t.Fatal("key schedule or update block left in state after refill")
+			}
+		})
+	}
+}
+
+// TestRefillPathsAgree runs two instances from the same scripted entropy,
+// one with the VAES path available and one forced onto cipher.NewCTR, for
+// five batches with an interval reseed between the second and the third.
+func TestRefillPathsAgree(t *testing.T) {
+	stream := func() []byte {
+		d, err := NewWithEntropy(&fixedEntropy{chunks: [][]byte{seed48(0x3c), seed48(0x5a)}})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 3 {
-		t.Fatalf("refill allocates %.1f times per batch, budget 3", avg)
+		out := make([]byte, 5*batchLen)
+		for b := 0; b < 5; b++ {
+			if b == 2 {
+				d.generated = reseedAfter
+			}
+			if _, err := io.ReadFull(d, out[b*batchLen:(b+1)*batchLen]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	fast := stream()
+	forceCTR(t)
+	if slow := stream(); !bytes.Equal(fast, slow) {
+		for i := range fast {
+			if fast[i] != slow[i] {
+				t.Fatalf("refill paths diverge at byte %d (batch %d)", i, i/batchLen)
+			}
+		}
 	}
 }

@@ -35,13 +35,14 @@ var kern atomic.Pointer[kernel]
 
 // kernelTable enumerates every kernel compiled into this binary, fastest
 // first. Selection walks it in order and takes the first available one;
-// availability is a capability check (e.g. AVX2 + OS vector-state support
-// for the amd64 assembly), evaluated once.
+// availability is a capability check (e.g. GFNI or AVX2 plus OS
+// vector-state support for the amd64 assembly), evaluated once.
 var kernelTable = []struct {
 	k         *kernel
 	available func() bool
 }{
-	{&vectorKernel, vectorAvailable},
+	{&gfniKernel, gfniAvailable},
+	{&avx2Kernel, avx2Available},
 	{&wordKernel, wordAvailable},
 	{&scalarKernel, func() bool { return true }},
 }
@@ -55,7 +56,7 @@ var scalarKernel = kernel{
 }
 
 // kernelEnv is the override knob, read once at init: REMICSS_GFKERNEL names
-// the kernel to use (scalar, word, or the platform vector kernel), in the
+// the kernel to use (scalar, word, or a platform vector kernel), in the
 // spirit of GODEBUG=cpu.all=off. CI runs a job leg with the fallbacks forced
 // so every compiled path stays tested; naming an unavailable or unknown
 // kernel is a hard failure, not a silent fallback, because a typo here would
@@ -81,7 +82,7 @@ func selectKernel() {
 }
 
 // KernelName reports the name of the active kernel ("scalar", "word", or a
-// platform vector kernel such as "avx2"), for logs and bench reports.
+// platform vector kernel: "avx2", "gfni"), for logs and bench reports.
 func KernelName() string { return kern.Load().name }
 
 // Kernels lists the kernels available on this machine, sorted by name. Every

@@ -9,9 +9,10 @@ package gf256
 // Each public entry point validates its arguments, handles the degenerate
 // multipliers (0 and 1), and hands the general case to the kernel selected
 // at init (see kernel_select.go): the scalar 64 KiB-product-table loop, the
-// pure-Go word-sliced kernel processing 8 bytes per step, or the amd64
-// vpshufb kernel working from the 16-entry nibble tables. All kernels are
-// bit-identical by construction and pinned so by the differential tests.
+// pure-Go word-sliced kernel processing 8 bytes per step, the amd64 vpshufb
+// kernel working from the 16-entry nibble tables, or the amd64 GFNI kernel
+// multiplying 32 bytes per instruction. All kernels are bit-identical by
+// construction and pinned so by the differential tests.
 //
 // All kernels require len(src) == len(dst) (or len(acc) == len(coeff)) and
 // panic otherwise: a length mismatch is a programming error in the caller's
@@ -114,10 +115,16 @@ func HornerBlock(dst []byte, x byte, blocks [][]byte, lo, hi int) {
 		copy(dst[lo:hi], blocks[len(blocks)-1][lo:hi])
 		return
 	}
+	k := kern.Load()
+	if k == &gfniKernel && len(blocks) > 1 {
+		// The fused pass, by direct call: handing blocks to a func value
+		// would move the caller's blocks array to the heap.
+		gfniHorner(dst, x, blocks, lo, hi)
+		return
+	}
 	copy(dst[lo:hi], blocks[0][lo:hi])
-	step := kern.Load().mulXorPass
 	for _, c := range blocks[1:] {
-		step(dst[lo:hi], c[lo:hi], x)
+		k.mulXorPass(dst[lo:hi], c[lo:hi], x)
 	}
 }
 

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// GF(2^8) multiply-by-constant kernels, vpshufb idiom: for each source byte
+// AVX2 GF(2^8) multiply-by-constant kernels, vpshufb idiom: for each source byte
 // b, the product c*b = lo[b & 0x0f] ^ hi[b >> 4], where lo and hi are the
 // 16-entry nibble product tables for c (nibTab[c][0:16] and nibTab[c][16:32]
 // in Go). Both tables are broadcast across the two 128-bit lanes of a YMM
@@ -125,6 +125,159 @@ xorLoop:
 	SUBQ    $32, CX
 	JNZ     xorLoop
 
+	VZEROUPPER
+	RET
+
+// GFNI kernels: VGF2P8MULB multiplies each byte pair modulo x^8+x^4+x^3+x+1
+// (0x11b), the field's own polynomial, so c*b is one instruction against
+// the multiplier broadcast into every byte of Y7. VEX.256 encodings only.
+// Callers guarantee n is a positive multiple of 32.
+
+// func gfMulGFNI(c byte, dst, src *byte, n int)
+// dst[i] = c*src[i]
+TEXT ·gfMulGFNI(SB), NOSPLIT, $0-32
+	MOVBLZX c+0(FP), AX
+	MOVQ    dst+8(FP), DI
+	MOVQ    src+16(FP), SI
+	MOVQ    n+24(FP), CX
+	MOVQ    AX, X7
+	VPBROADCASTB X7, Y7
+
+gfniMulLoop:
+	VGF2P8MULB (SI), Y7, Y0
+	VMOVDQU    Y0, (DI)
+	ADDQ       $32, SI
+	ADDQ       $32, DI
+	SUBQ       $32, CX
+	JNZ        gfniMulLoop
+
+	VZEROUPPER
+	RET
+
+// func gfAddMulGFNI(c byte, dst, src *byte, n int)
+// dst[i] ^= c*src[i]
+TEXT ·gfAddMulGFNI(SB), NOSPLIT, $0-32
+	MOVBLZX c+0(FP), AX
+	MOVQ    dst+8(FP), DI
+	MOVQ    src+16(FP), SI
+	MOVQ    n+24(FP), CX
+	MOVQ    AX, X7
+	VPBROADCASTB X7, Y7
+
+gfniAddMulLoop:
+	VGF2P8MULB (SI), Y7, Y0
+	VPXOR      (DI), Y0, Y0
+	VMOVDQU    Y0, (DI)
+	ADDQ       $32, SI
+	ADDQ       $32, DI
+	SUBQ       $32, CX
+	JNZ        gfniAddMulLoop
+
+	VZEROUPPER
+	RET
+
+// func gfMulXorGFNI(x byte, acc, coeff *byte, n int)
+// acc[i] = x*acc[i] ^ coeff[i]  (one Horner step)
+TEXT ·gfMulXorGFNI(SB), NOSPLIT, $0-32
+	MOVBLZX x+0(FP), AX
+	MOVQ    acc+8(FP), DI
+	MOVQ    coeff+16(FP), SI
+	MOVQ    n+24(FP), CX
+	MOVQ    AX, X7
+	VPBROADCASTB X7, Y7
+
+gfniMulXorLoop:
+	VGF2P8MULB (DI), Y7, Y0
+	VPXOR      (SI), Y0, Y0
+	VMOVDQU    Y0, (DI)
+	ADDQ       $32, SI
+	ADDQ       $32, DI
+	SUBQ       $32, CX
+	JNZ        gfniMulXorLoop
+
+	VZEROUPPER
+	RET
+
+// func gfHornerGFNI(x byte, dst *byte, blocks *[]byte, nb, off, n int)
+// dst[i] = (...(blocks[0][i]*x ^ blocks[1][i])*x ...)*x ^ blocks[nb-1][i]
+// for i in [off, off+n). The accumulators never leave Y0–Y3 between
+// coefficient blocks: one load per block and one store per 32 bytes, where
+// a pass per block would load and store the accumulator nb-1 times. Four
+// independent 32-byte groups per step hide VGF2P8MULB's latency; a one-group
+// loop finishes what is left. nb ≥ 2; a []byte header is 24 bytes, data
+// pointer first.
+//
+// Register plan:
+//   Y7      x in every byte
+//   DI      dst base; R10 the running index i; R11 off+n
+//   R8      &blocks[0]; R9 nb
+//   BX, DX  header walk: next block header, blocks left
+//   SI      current block's data pointer
+TEXT ·gfHornerGFNI(SB), NOSPLIT, $0-48
+	MOVBLZX x+0(FP), AX
+	MOVQ    dst+8(FP), DI
+	MOVQ    blocks+16(FP), R8
+	MOVQ    nb+24(FP), R9
+	MOVQ    off+32(FP), R10
+	MOVQ    n+40(FP), R11
+	ADDQ    R10, R11
+	MOVQ    AX, X7
+	VPBROADCASTB X7, Y7
+
+horner128:
+	LEAQ    128(R10), AX
+	CMPQ    AX, R11
+	JA      horner32
+	MOVQ    (R8), SI
+	VMOVDQU (SI)(R10*1), Y0
+	VMOVDQU 32(SI)(R10*1), Y1
+	VMOVDQU 64(SI)(R10*1), Y2
+	VMOVDQU 96(SI)(R10*1), Y3
+	LEAQ    24(R8), BX
+	LEAQ    -1(R9), DX
+
+horner128Step:
+	MOVQ       (BX), SI
+	VGF2P8MULB Y7, Y0, Y0
+	VGF2P8MULB Y7, Y1, Y1
+	VGF2P8MULB Y7, Y2, Y2
+	VGF2P8MULB Y7, Y3, Y3
+	VPXOR      (SI)(R10*1), Y0, Y0
+	VPXOR      32(SI)(R10*1), Y1, Y1
+	VPXOR      64(SI)(R10*1), Y2, Y2
+	VPXOR      96(SI)(R10*1), Y3, Y3
+	ADDQ       $24, BX
+	DECQ       DX
+	JNZ        horner128Step
+
+	VMOVDQU Y0, (DI)(R10*1)
+	VMOVDQU Y1, 32(DI)(R10*1)
+	VMOVDQU Y2, 64(DI)(R10*1)
+	VMOVDQU Y3, 96(DI)(R10*1)
+	MOVQ    AX, R10
+	JMP     horner128
+
+horner32:
+	CMPQ    R10, R11
+	JAE     hornerDone
+	MOVQ    (R8), SI
+	VMOVDQU (SI)(R10*1), Y0
+	LEAQ    24(R8), BX
+	LEAQ    -1(R9), DX
+
+horner32Step:
+	MOVQ       (BX), SI
+	VGF2P8MULB Y7, Y0, Y0
+	VPXOR      (SI)(R10*1), Y0, Y0
+	ADDQ       $24, BX
+	DECQ       DX
+	JNZ        horner32Step
+
+	VMOVDQU Y0, (DI)(R10*1)
+	ADDQ    $32, R10
+	JMP     horner32
+
+hornerDone:
 	VZEROUPPER
 	RET
 

@@ -88,41 +88,135 @@ func TestKernelsXorMatchesReference(t *testing.T) {
 	})
 }
 
+// refHorner evaluates byte i of the blocks' polynomials at x with the
+// table-free reference multiply, highest-degree block first.
+func refHorner(blocks [][]byte, x byte, i int) byte {
+	acc := blocks[0][i]
+	for _, c := range blocks[1:] {
+		acc = refMul(acc, x) ^ c[i]
+	}
+	return acc
+}
+
 func TestKernelsHornerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
+	t.Logf("selected kernel %s; available %v", KernelName(), Kernels())
 	withKernels(t, func(t *testing.T, name string) {
-		for _, n := range diffLengths {
-			for off := 0; off < 8; off++ {
-				top := randomBytes(rng, off+n)[off:]
-				mid := randomBytes(rng, off+n)[off:]
-				con := randomBytes(rng, off+n)[off:]
-				x := byte(rng.Intn(255) + 1)
-
-				want := make([]byte, n)
-				for i := 0; i < n; i++ {
-					want[i] = refMul(refMul(top[i], x)^mid[i], x) ^ con[i]
-				}
-
-				acc := make([]byte, off+n)[off:]
-				HornerBlock(acc, x, [][]byte{top, mid, con}, 0, n)
-				if !bytes.Equal(acc, want) {
-					t.Fatalf("HornerBlock x=%#02x n=%d off=%d diverges from reference", x, n, off)
-				}
-
-				// Tiled evaluation over sub-ranges must agree with the
-				// full-range pass: this is the window walk the splitter does.
-				tiled := make([]byte, off+n)[off:]
-				for lo := 0; lo < n; lo += 13 {
-					hi := lo + 13
-					if hi > n {
-						hi = n
+		for nb := 1; nb <= 8; nb++ {
+			for _, n := range diffLengths {
+				for off := 0; off < 8; off++ {
+					blocks := make([][]byte, nb)
+					for b := range blocks {
+						blocks[b] = randomBytes(rng, off+n)[off:]
 					}
-					HornerBlock(tiled, x, [][]byte{top, mid, con}, lo, hi)
-				}
-				if !bytes.Equal(tiled, want) {
-					t.Fatalf("tiled HornerBlock x=%#02x n=%d off=%d diverges", x, n, off)
+					x := byte(rng.Intn(255) + 1)
+
+					want := make([]byte, n)
+					for i := range want {
+						want[i] = refHorner(blocks, x, i)
+					}
+
+					acc := make([]byte, off+n)[off:]
+					HornerBlock(acc, x, blocks, 0, n)
+					if !bytes.Equal(acc, want) {
+						t.Fatalf("HornerBlock nb=%d x=%#02x n=%d off=%d diverges from reference", nb, x, n, off)
+					}
+
+					// Tiled evaluation over sub-ranges must agree with the
+					// full-range pass: this is the window walk the splitter does.
+					tiled := make([]byte, off+n)[off:]
+					for lo := 0; lo < n; lo += 13 {
+						hi := lo + 13
+						if hi > n {
+							hi = n
+						}
+						HornerBlock(tiled, x, blocks, lo, hi)
+					}
+					if !bytes.Equal(tiled, want) {
+						t.Fatalf("tiled HornerBlock nb=%d x=%#02x n=%d off=%d diverges", nb, x, n, off)
+					}
+
+					// A window that starts and ends off a 32-byte boundary
+					// leaves the bytes around it untouched.
+					lo, hi := n/5|1, n-n/7
+					if hi <= lo {
+						continue
+					}
+					win := randomBytes(rng, n)
+					outside := append([]byte(nil), win...)
+					HornerBlock(win, x, blocks, lo, hi)
+					if !bytes.Equal(win[lo:hi], want[lo:hi]) {
+						t.Fatalf("HornerBlock nb=%d x=%#02x window [%d, %d) diverges", nb, x, lo, hi)
+					}
+					if !bytes.Equal(win[:lo], outside[:lo]) || !bytes.Equal(win[hi:], outside[hi:]) {
+						t.Fatalf("HornerBlock nb=%d window [%d, %d) wrote outside it", nb, lo, hi)
+					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzKernels drives every slice entry point through every available kernel
+// with a fuzzed multiplier, 1–8 coefficient blocks and a [lo, hi) window
+// whose edges fall anywhere relative to the 8- and 32-byte strides, against
+// the table-free reference.
+func FuzzKernels(f *testing.F) {
+	f.Add(byte(0x53), uint8(3), uint16(0), uint16(1400), int64(1))
+	f.Add(byte(1), uint8(1), uint16(5), uint16(37), int64(2))
+	f.Add(byte(0), uint8(8), uint16(31), uint16(33), int64(3))
+	f.Add(byte(0xff), uint8(5), uint16(100), uint16(100), int64(4))
+	f.Fuzz(func(t *testing.T, c byte, nbRaw uint8, loRaw, hiRaw uint16, seed int64) {
+		const maxLen = 2048
+		nb := int(nbRaw)%8 + 1
+		lo, hi := int(loRaw)%maxLen, int(hiRaw)%maxLen
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		rng := rand.New(rand.NewSource(seed))
+		blocks := make([][]byte, nb)
+		for b := range blocks {
+			blocks[b] = randomBytes(rng, hi)
+		}
+		src, init := blocks[0][lo:hi], randomBytes(rng, hi-lo)
+
+		mul, addMul, mulAdd := make([]byte, hi-lo), make([]byte, hi-lo), make([]byte, hi-lo)
+		horner := make([]byte, hi)
+		for i := range mul {
+			mul[i] = refMul(c, src[i])
+			addMul[i] = init[i] ^ mul[i]
+			mulAdd[i] = refMul(init[i], c) ^ src[i]
+		}
+		for i := lo; i < hi; i++ {
+			horner[i] = refHorner(blocks, c, i)
+		}
+
+		for _, name := range Kernels() {
+			restore, err := ForceKernel(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, hi-lo)
+			MulSlice(got, src, c)
+			if !bytes.Equal(got, mul) {
+				t.Errorf("%s MulSlice c=%#02x len=%d diverges", name, c, hi-lo)
+			}
+			copy(got, init)
+			AddMulSlice(got, src, c)
+			if !bytes.Equal(got, addMul) {
+				t.Errorf("%s AddMulSlice c=%#02x len=%d diverges", name, c, hi-lo)
+			}
+			copy(got, init)
+			MulAddSlice(got, c, src)
+			if !bytes.Equal(got, mulAdd) {
+				t.Errorf("%s MulAddSlice x=%#02x len=%d diverges", name, c, hi-lo)
+			}
+			dst := make([]byte, hi)
+			HornerBlock(dst, c, blocks, lo, hi)
+			if !bytes.Equal(dst, horner) {
+				t.Errorf("%s HornerBlock x=%#02x nb=%d [%d, %d) diverges", name, c, nb, lo, hi)
+			}
+			restore()
 		}
 	})
 }

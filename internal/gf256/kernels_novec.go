@@ -2,10 +2,21 @@
 
 package gf256
 
-// Targets without a vector kernel: the table still lists one so selection
-// and ForceKernel treat every platform uniformly, but it never reports
-// available, so init falls through to the word-sliced or scalar path.
+// Targets without the vector kernels: the table still lists them so
+// selection and ForceKernel treat every platform uniformly, but they never
+// report available, so init falls through to the word-sliced or scalar path.
 
-var vectorKernel = kernel{name: "avx2"}
+var (
+	gfniKernel = kernel{name: "gfni"}
+	avx2Kernel = kernel{name: "avx2"}
+)
 
-func vectorAvailable() bool { return false }
+func gfniAvailable() bool { return false }
+
+func avx2Available() bool { return false }
+
+// gfniHorner is unreachable here: HornerBlock calls it only while gfniKernel
+// is active, which it never is on these targets.
+func gfniHorner(dst []byte, x byte, blocks [][]byte, lo, hi int) {
+	panic("gf256: gfni kernel is not compiled in")
+}
