@@ -231,8 +231,6 @@ func (s *Server) unregister(sess *Session) {
 }
 
 // Lookup returns the session registered under id, or nil. Lock-free.
-//
-//lint:allow mutexguard lock-free read: the map is immutable and the pointer load is atomic
 func (s *Server) Lookup(id uint64) *Session {
 	sh := &s.shards[shardix.Index(id, s.mask)]
 	return (*sh.sessions.Load())[id]
@@ -249,7 +247,6 @@ func (s *Server) Lookup(id uint64) *Session {
 // not retain the slice.
 //
 //remicss:noalloc
-//lint:allow mutexguard lock-free read: the map is immutable and the pointer load is atomic
 func (s *Server) Dispatch(datagram []byte) {
 	id, ok := wire.PeekSession(datagram)
 	if !ok {

@@ -1,19 +1,26 @@
 // Package lint is a small static-analysis framework, built only on the
 // standard library's go/ast, go/parser, and go/types, that mechanically
-// enforces the repository's data-path and secrecy invariants:
+// enforces the repository's data-path and secrecy invariants. Its eight
+// analyzers (DefaultAnalyzers) run on three models:
 //
-//   - insecure-rand: secret-bearing packages must not import math/rand, and
-//     math/rand values must never flow into an io.Reader-shaped randomness
-//     slot (the way every sharing scheme consumes entropy).
-//   - noalloc: functions annotated //remicss:noalloc must not contain
-//     allocating constructs (make, new, slice/map literals, closures,
-//     interface boxing, string concatenation, append to a foreign buffer).
-//   - mutexguard: struct fields annotated "guarded by mu" may only be
-//     touched after the guarding mutex is locked in the same function.
-//   - noretain: Link.Send / datagram-ingest implementations must not retain
-//     their []byte argument (or a subslice of it) beyond the call.
-//   - readonly-input: Unmarshal-shaped functions must not write through
-//     their input slice.
+//   - Syntax checks read typed syntax one function at a time and do not
+//     follow calls. Per package: insecure-rand (no math/rand in
+//     secret-bearing packages or in an io.Reader randomness slot), noalloc
+//     (no allocating construct in a //remicss:noalloc function), and
+//     noretain and readonly-input, two sink tables over one walker that
+//     follows a []byte parameter through local aliases (Send and
+//     HandleDatagram must not retain it; Unmarshal must not write through
+//     it). Across the module: atomicmix (a field used with sync/atomic is
+//     used with nothing else).
+//   - Taint summaries carry //remicss:secret data through calls and
+//     packages to errors, logs, traces, metric labels, and retained state
+//     (taint).
+//   - The lock model walks each function's held set in source order and
+//     sums up over the static call graph what each function acquires.
+//     lockorder reads cycles, self-deadlocks, and dynamic calls under a
+//     lock off it; mutexguard decides each access to a field annotated
+//     "guarded by mu" on the same walk, and passes an access it cannot
+//     decide to the function's callers.
 //
 // Every diagnostic can be suppressed with an explicit, justified annotation:
 //
@@ -25,11 +32,13 @@
 // diagnostic. This keeps every exception to an invariant written down next
 // to the code that needs it.
 //
-// The framework favors simple, local reasoning over whole-program precision:
-// analyzers are syntactic and type-based, do not follow calls, and
-// approximate "on all paths" by "textually before". False negatives across
-// function boundaries are accepted; false positives are kept near zero so
-// the suite can run as a required CI step (see cmd/remicss-lint).
+// The models trade precision for simplicity. Branches are walked as if in
+// sequence, except that lock changes inside a block ending in return end
+// with it; calls through interfaces and function values are opaque; and a
+// function literal that is not a goroutine is taken to run where it is
+// defined. Violations these approximations hide are accepted; false
+// positives are kept near zero so the suite can run as a required CI step
+// (see cmd/remicss-lint).
 package lint
 
 import (
@@ -37,7 +46,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -80,14 +88,21 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		File:     position.Filename,
-		Line:     position.Line,
-		Column:   position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.report(newDiagnostic(p.Analyzer, p.Fset, pos, format, args))
+}
+
+// funcAnalyzer builds a per-package analyzer that runs check on every
+// function declaration with a body.
+func funcAnalyzer(name, doc string, check func(*Pass, *ast.FuncDecl)) *Analyzer {
+	return &Analyzer{Name: name, Doc: doc, Run: func(pass *Pass) {
+		for _, file := range pass.Files {
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					check(pass, fd)
+				}
+			}
+		}
+	}}
 }
 
 // TypeOf returns the type of e, or nil if the type checker did not record
@@ -110,14 +125,13 @@ type ModulePass struct {
 // Reportf records a diagnostic at pos, resolved through the package that
 // owns the position.
 func (p *ModulePass) Reportf(fset *token.FileSet, pos token.Pos, format string, args ...any) {
-	position := fset.Position(pos)
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		File:     position.Filename,
-		Line:     position.Line,
-		Column:   position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.report(newDiagnostic(p.Analyzer, fset, pos, format, args))
+}
+
+// newDiagnostic resolves pos through fset and formats the message.
+func newDiagnostic(a *Analyzer, fset *token.FileSet, pos token.Pos, format string, args []any) Diagnostic {
+	at := fset.Position(pos)
+	return Diagnostic{Analyzer: a.Name, File: at.Filename, Line: at.Line, Column: at.Column, Message: fmt.Sprintf(format, args...)}
 }
 
 // Diagnostic is one reported invariant violation, positioned at file:line.
@@ -203,7 +217,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		if a.Column != b.Column {
 			return a.Column < b.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return out
 }
@@ -313,34 +330,15 @@ func (s *suppressions) stale() []Diagnostic {
 // line below (so it works both as a trailing comment and as a comment above
 // the offending statement).
 func collectSuppressions(sup *suppressions, pkg *Package, known map[string]bool) {
-	consumed := make(map[*ast.Comment]bool)
 	for _, file := range pkg.Files {
+		docOf := make(map[*ast.CommentGroup]*ast.FuncDecl)
 		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				analyzer, reason, ok := parseAllow(c.Text)
-				if !ok {
-					continue
-				}
-				consumed[c] = true
-				if bad := validateAllow(pkg, c, analyzer, reason, known); bad != nil {
-					sup.invalid = append(sup.invalid, *bad)
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				start := pkg.Fset.Position(fd.Pos()).Line
-				end := pkg.Fset.Position(fd.End()).Line
-				sup.add(&directive{analyzer: analyzer, file: pos.Filename, line: pos.Line, column: pos.Column}, start, end)
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+				docOf[fd.Doc] = fd
 			}
 		}
 		for _, group := range file.Comments {
 			for _, c := range group.List {
-				if consumed[c] {
-					continue
-				}
 				analyzer, reason, ok := parseAllow(c.Text)
 				if !ok {
 					continue
@@ -350,7 +348,11 @@ func collectSuppressions(sup *suppressions, pkg *Package, known map[string]bool)
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				sup.add(&directive{analyzer: analyzer, file: pos.Filename, line: pos.Line, column: pos.Column}, pos.Line, pos.Line+1)
+				from, to := pos.Line, pos.Line+1
+				if fd := docOf[group]; fd != nil {
+					from, to = pkg.Fset.Position(fd.Pos()).Line, pkg.Fset.Position(fd.End()).Line
+				}
+				sup.add(&directive{analyzer: analyzer, file: pos.Filename, line: pos.Line, column: pos.Column}, from, to)
 			}
 		}
 	}
@@ -395,22 +397,4 @@ func hasMarker(doc *ast.CommentGroup, name string) bool {
 		}
 	}
 	return false
-}
-
-// guardedRe extracts the mutex field name from a "guarded by <field>" field
-// annotation.
-var guardedRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
-
-// guardAnnotation returns the guarding field named by a field's doc or
-// trailing comment, or "" when the field carries no annotation.
-func guardAnnotation(field *ast.Field) string {
-	for _, group := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if group == nil {
-			continue
-		}
-		if m := guardedRe.FindStringSubmatch(group.Text()); m != nil {
-			return m[1]
-		}
-	}
-	return ""
 }

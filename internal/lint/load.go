@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,6 +114,67 @@ func typecheck(fset *token.FileSet, imp types.Importer, path, dir string, goFile
 	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
+// srcPackage is one package to type-check from source.
+type srcPackage struct {
+	path, dir string
+	goFiles   []string
+	imports   []string
+}
+
+// checkAll type-checks srcs in dependency order, resolving an import of
+// another package in the set to its source-checked types and any other
+// import through export data. Interprocedural analyzers depend on this: a
+// *types.Func or field object reached from an importing package must be the
+// same object the defining package's own check produced, or cross-package
+// summaries and annotations would silently fail to line up.
+func checkAll(srcs []srcPackage, exports map[string]string) ([]*Package, error) {
+	fset := token.NewFileSet()
+	inSet := make(map[string]bool, len(srcs))
+	for _, s := range srcs {
+		inSet[s.path] = true
+	}
+	checked := make(map[string]*Package, len(srcs))
+	expImp := exportImporter(fset, exports)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg.Types, nil
+		}
+		return expImp.Import(path)
+	})
+	pending := func(path string) bool { return inSet[path] && checked[path] == nil }
+	var pkgs []*Package
+	for len(pkgs) < len(srcs) {
+		progressed := false
+		for _, s := range srcs {
+			if !pending(s.path) || slices.ContainsFunc(s.imports, pending) {
+				continue
+			}
+			pkg, err := typecheck(fset, imp, s.path, s.dir, s.goFiles)
+			if err != nil {
+				return nil, err
+			}
+			checked[s.path] = pkg
+			pkgs = append(pkgs, pkg)
+			progressed = true
+		}
+		if !progressed {
+			return nil, fmt.Errorf("lint: import cycle among %d unprocessed packages", len(srcs)-len(pkgs))
+		}
+	}
+	return pkgs, nil
+}
+
+// exportsOf maps each listed package with export data to its file.
+func exportsOf(listed []listedPackage) map[string]string {
+	exports := make(map[string]string, len(listed))
+	for _, p := range listed {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	return exports
+}
+
 // Load loads, parses, and type-checks every package matching the go package
 // patterns (e.g. "./..."), resolved relative to dir. Test files are not
 // analyzed: the invariants the suite enforces are production data-path
@@ -122,67 +184,13 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports := make(map[string]string, len(listed))
-	var targets []listedPackage
+	var srcs []srcPackage
 	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			targets = append(targets, p)
+		if !p.DepOnly && len(p.GoFiles) > 0 {
+			srcs = append(srcs, srcPackage{path: p.ImportPath, dir: p.Dir, goFiles: p.GoFiles, imports: p.Imports})
 		}
 	}
-	// Type-check the target packages in dependency order, resolving imports
-	// of other targets to their source-checked types rather than export
-	// data. Interprocedural analyzers depend on this: a *types.Func or field
-	// object reached from an importing package must be the same object the
-	// defining package's own check produced, or cross-package summaries and
-	// annotations would silently fail to line up.
-	byPath := make(map[string]listedPackage, len(targets))
-	for _, t := range targets {
-		if len(t.GoFiles) > 0 {
-			byPath[t.ImportPath] = t
-		}
-	}
-	fset := token.NewFileSet()
-	checked := make(map[string]*Package, len(targets))
-	expImp := exportImporter(fset, exports)
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if pkg, ok := checked[path]; ok {
-			return pkg.Types, nil
-		}
-		return expImp.Import(path)
-	})
-	var pkgs []*Package
-	for len(pkgs) < len(byPath) {
-		progressed := false
-		for _, t := range targets {
-			if len(t.GoFiles) == 0 || checked[t.ImportPath] != nil {
-				continue
-			}
-			ready := true
-			for _, dep := range t.Imports {
-				if _, isTarget := byPath[dep]; isTarget && checked[dep] == nil {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			pkg, err := typecheck(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
-			if err != nil {
-				return nil, err
-			}
-			checked[t.ImportPath] = pkg
-			pkgs = append(pkgs, pkg)
-			progressed = true
-		}
-		if !progressed {
-			return nil, fmt.Errorf("lint: import cycle among %d unprocessed packages", len(byPath)-len(pkgs))
-		}
-	}
-	return pkgs, nil
+	return checkAll(srcs, exportsOf(listed))
 }
 
 // LoadDir loads a single directory of Go files as one package, resolving
@@ -190,61 +198,18 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 // entry point for golden-fixture packages under testdata/, which the go
 // tool itself refuses to enumerate.
 func LoadDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+	src, err := scanDir(filepath.Base(dir), dir)
 	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
+		return nil, err
 	}
-	var goFiles []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		goFiles = append(goFiles, name)
-	}
-	sort.Strings(goFiles)
-	if len(goFiles) == 0 {
+	if len(src.goFiles) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-
-	// Parse once with a throwaway fileset to discover the import set, then
-	// materialize export data for it.
-	probeFset := token.NewFileSet()
-	imports := make(map[string]bool)
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(probeFset, filepath.Join(dir, name), nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		for _, spec := range f.Imports {
-			path, err := strconv.Unquote(spec.Path.Value)
-			if err != nil {
-				return nil, fmt.Errorf("lint: %w", err)
-			}
-			if path != "unsafe" {
-				imports[path] = true
-			}
-		}
+	pkgs, err := loadFixture(dir, []srcPackage{src})
+	if err != nil {
+		return nil, err
 	}
-	exports := make(map[string]string)
-	if len(imports) > 0 {
-		patterns := make([]string, 0, len(imports))
-		for p := range imports {
-			patterns = append(patterns, p)
-		}
-		sort.Strings(patterns)
-		listed, err := goList(dir, patterns)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	fset := token.NewFileSet()
-	return typecheck(fset, exportImporter(fset, exports), filepath.Base(dir), dir, goFiles)
+	return pkgs[0], nil
 }
 
 // LoadTree loads a directory and every nested subdirectory holding Go files
@@ -259,136 +224,87 @@ func LoadDir(dir string) (*Package, error) {
 // make untestable.
 func LoadTree(root string) ([]*Package, error) {
 	base := filepath.Base(root)
-	type dirInfo struct {
-		path    string // fixture import path, e.g. "taint/vault"
-		dir     string
-		goFiles []string
-		imports map[string]bool
-	}
-	var dirs []*dirInfo
-	probeFset := token.NewFileSet()
+	var srcs []srcPackage
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		entries, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		info := &dirInfo{dir: path, imports: make(map[string]bool)}
 		rel, err := filepath.Rel(root, path)
 		if err != nil {
 			return err
 		}
-		if rel == "." {
-			info.path = base
-		} else {
-			info.path = base + "/" + filepath.ToSlash(rel)
+		importPath := base
+		if rel != "." {
+			importPath = base + "/" + filepath.ToSlash(rel)
 		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			info.goFiles = append(info.goFiles, name)
-			f, err := parser.ParseFile(probeFset, filepath.Join(path, name), nil, parser.ImportsOnly)
-			if err != nil {
-				return fmt.Errorf("lint: %w", err)
-			}
-			for _, spec := range f.Imports {
-				p, err := strconv.Unquote(spec.Path.Value)
-				if err != nil {
-					return fmt.Errorf("lint: %w", err)
-				}
-				if p != "unsafe" {
-					info.imports[p] = true
-				}
-			}
+		src, err := scanDir(importPath, path)
+		if len(src.goFiles) > 0 {
+			srcs = append(srcs, src)
 		}
-		if len(info.goFiles) > 0 {
-			sort.Strings(info.goFiles)
-			dirs = append(dirs, info)
-		}
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
+		return nil, err
 	}
-	if len(dirs) == 0 {
+	if len(srcs) == 0 {
 		return nil, fmt.Errorf("lint: no Go files under %s", root)
 	}
+	return loadFixture(root, srcs)
+}
 
-	internal := make(map[string]*dirInfo, len(dirs))
-	for _, d := range dirs {
-		internal[d.path] = d
+// scanDir lists dir's non-test Go files, sorted, and the imports they name.
+func scanDir(importPath, dir string) (srcPackage, error) {
+	src := srcPackage{path: importPath, dir: dir}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return src, fmt.Errorf("lint: %w", err)
 	}
-	external := make(map[string]bool)
-	for _, d := range dirs {
-		for imp := range d.imports {
-			if internal[imp] == nil {
-				external[imp] = true
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src.goFiles = append(src.goFiles, name)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
+		if err != nil {
+			return src, fmt.Errorf("lint: %w", err)
+		}
+		for _, spec := range f.Imports {
+			p, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return src, fmt.Errorf("lint: %w", err)
+			}
+			if p != "unsafe" && !slices.Contains(src.imports, p) {
+				src.imports = append(src.imports, p)
 			}
 		}
 	}
-	exports := make(map[string]string)
-	if len(external) > 0 {
-		patterns := make([]string, 0, len(external))
-		for p := range external {
-			patterns = append(patterns, p)
+	sort.Strings(src.goFiles)
+	return src, nil
+}
+
+// loadFixture type-checks fixture packages, materializing export data with
+// go list for every import outside the fixture.
+func loadFixture(dir string, srcs []srcPackage) ([]*Package, error) {
+	var external []string
+	for _, s := range srcs {
+		for _, imp := range s.imports {
+			if !slices.Contains(external, imp) && !slices.ContainsFunc(srcs, func(o srcPackage) bool { return o.path == imp }) {
+				external = append(external, imp)
+			}
 		}
-		sort.Strings(patterns)
-		listed, err := goList(root, patterns)
+	}
+	var exports map[string]string
+	if len(external) > 0 {
+		sort.Strings(external)
+		listed, err := goList(dir, external)
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range listed {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
+		exports = exportsOf(listed)
 	}
-
-	// Type-check in dependency order: a directory is ready once every
-	// fixture-internal import it names has been checked.
-	fset := token.NewFileSet()
-	checked := make(map[string]*Package, len(dirs))
-	expImp := exportImporter(fset, exports)
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if pkg, ok := checked[path]; ok {
-			return pkg.Types, nil
-		}
-		return expImp.Import(path)
-	})
-	var pkgs []*Package
-	for len(pkgs) < len(dirs) {
-		progressed := false
-		for _, d := range dirs {
-			if checked[d.path] != nil {
-				continue
-			}
-			ready := true
-			for i := range d.imports {
-				if internal[i] != nil && checked[i] == nil {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			pkg, err := typecheck(fset, imp, d.path, d.dir, d.goFiles)
-			if err != nil {
-				return nil, err
-			}
-			checked[d.path] = pkg
-			pkgs = append(pkgs, pkg)
-			progressed = true
-		}
-		if !progressed {
-			return nil, fmt.Errorf("lint: import cycle among fixture packages under %s", root)
-		}
-	}
-	return pkgs, nil
+	return checkAll(srcs, exports)
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -43,31 +44,151 @@ type lockClass struct {
 
 func (c lockClass) String() string { return c.owner + "." + c.field }
 
-// lockEvent is one Lock/Unlock-family call, in source order.
-type lockEvent struct {
-	pos      token.Pos
-	class    lockClass
-	acquire  bool // Lock/RLock/TryLock vs Unlock/RUnlock
-	deferred bool
-}
+// lockItemKind says what one step of a timeline does.
+type lockItemKind int
 
-// lockCall is a non-mutex call, with what lockorder needs to know about it.
-type lockCall struct {
-	pos     token.Pos
-	fn      *types.Func // nil for dynamic dispatch
-	dynamic bool
-	desc    string // display form of the callee for diagnostics
+const (
+	itemAcquire lockItemKind = iota // Lock/RLock/TryLock on class
+	itemRelease                     // Unlock/RUnlock on class
+	itemCall                        // any other call: static (fn) or dynamic
+	itemAccess                      // a selection of a field guarded by class
+	itemClosure                     // a function literal, whose timeline is child
+	itemScope                       // a block ending in return, which closes at end
+)
+
+// lockItem is one step of a timeline, at its source position.
+type lockItem struct {
+	pos      token.Pos
+	kind     lockItemKind
+	class    lockClass   // acquire, release, access
+	deferred bool        // release: runs at function exit
+	fn       *types.Func // call: the static callee, nil for dynamic dispatch
+	desc     string      // call: display form of the callee; access: field name
+	child    int         // closure: index of the literal's timeline
+	end      token.Pos   // scope: where the returning block ends
 }
 
 // lockTimeline is one linear execution context: a function body, or a
-// function literal's body analyzed separately so that a goroutine's or
-// callback's lock operations are not misattributed to the frame that merely
-// defines the closure. concurrent marks go-statement closures, whose
-// acquisitions are not charged to the enclosing function's summary.
+// function literal's body. concurrent marks go-statement closures (and
+// literals nested in them), which start with nothing held and whose
+// acquisitions are not charged to the enclosing function's summary; any
+// other literal starts with the locks held where it is defined.
 type lockTimeline struct {
-	events     []lockEvent
-	calls      []lockCall
+	items      []lockItem
 	concurrent bool
+}
+
+// lockModel is the module's lock facts: every declared function's timelines
+// (index 0 is the body, literals follow) and its transitive acquire set.
+type lockModel struct {
+	idx       *moduleIndex
+	timelines map[*types.Func][]lockTimeline
+	acquires  map[*types.Func]map[lockClass]bool
+}
+
+// buildLockModel collects the timelines of every function in pkgs, recording
+// selections of the fields in guards as accesses, and computes acquire sets
+// by fixed point: a function acquires what it locks directly (including in
+// non-goroutine closures, which run within the call) plus whatever its
+// static module callees acquire.
+func buildLockModel(pkgs []*Package, guards map[types.Object]lockClass) *lockModel {
+	m := &lockModel{
+		idx:       indexModule(pkgs),
+		timelines: make(map[*types.Func][]lockTimeline),
+		acquires:  make(map[*types.Func]map[lockClass]bool),
+	}
+	for _, fn := range m.idx.order {
+		di := m.idx.funcs[fn]
+		m.timelines[fn] = collectLockFacts(di.pkg, di.decl, guards)
+		m.acquires[fn] = make(map[lockClass]bool)
+		for _, tl := range m.timelines[fn] {
+			for _, it := range tl.items {
+				if !tl.concurrent && it.kind == itemAcquire {
+					m.acquires[fn][it.class] = true
+				}
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range m.idx.order {
+			for _, tl := range m.timelines[fn] {
+				if tl.concurrent {
+					continue
+				}
+				for _, it := range tl.items {
+					if it.kind != itemCall || it.fn == nil {
+						continue
+					}
+					for cls := range m.acquires[it.fn] {
+						if !m.acquires[fn][cls] {
+							m.acquires[fn][cls] = true
+							changed = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return m
+}
+
+// lockSite is one acquisition, call or guarded access as the held-set walk
+// reaches it: held lists the classes held just before it, in acquisition
+// order (a class locked twice appears twice), and is only valid during the
+// visit.
+type lockSite struct {
+	fn        *types.Func
+	pkg       *Package
+	item      *lockItem
+	held      []lockClass
+	goroutine bool // inside a go-statement closure
+}
+
+// walk runs every timeline through the held-set simulation in source order,
+// calling visit at each acquisition, call and guarded access. A deferred
+// unlock keeps its lock held for the rest of the walk, matching its real
+// extent; lock-state changes inside a block that ends in return do not
+// outlive the block, since the code after it only runs when it did not.
+func (m *lockModel) walk(visit func(lockSite)) {
+	for _, fn := range m.idx.order {
+		tls, pkg := m.timelines[fn], m.idx.funcs[fn].pkg
+		var run func(i int, held []lockClass)
+		run = func(i int, held []lockClass) {
+			type scope struct {
+				end  token.Pos
+				held []lockClass
+			}
+			var scopes []scope
+			for j := range tls[i].items {
+				it := &tls[i].items[j]
+				for n := len(scopes); n > 0 && it.pos > scopes[n-1].end; n-- {
+					held = scopes[n-1].held
+					scopes = scopes[:n-1]
+				}
+				switch it.kind {
+				case itemScope:
+					scopes = append(scopes, scope{end: it.end, held: slices.Clone(held)})
+				case itemClosure:
+					var start []lockClass
+					if !tls[it.child].concurrent {
+						start = slices.Clone(held)
+					}
+					run(it.child, start)
+				case itemRelease:
+					if k := slices.Index(held, it.class); k >= 0 && !it.deferred {
+						held = slices.Delete(held, k, k+1)
+					}
+				default:
+					visit(lockSite{fn: fn, pkg: pkg, item: it, held: held, goroutine: tls[i].concurrent})
+					if it.kind == itemAcquire {
+						held = append(held, it.class)
+					}
+				}
+			}
+		}
+		run(0, nil)
+	}
 }
 
 // lockEdge is one observed "to acquired while from is held" ordering.
@@ -78,162 +199,54 @@ type lockEdge struct {
 	how      string // "" for a direct Lock, else the call chain charging it
 }
 
+// runLockOrder reads all three findings off one held-set walk: dynamic calls
+// and self-deadlocks as they are reached, and the ordering edges whose
+// cycles it reports at the end.
 func runLockOrder(mp *ModulePass) {
-	idx := indexModule(mp.Pkgs)
-
-	timelines := make(map[*types.Func][]lockTimeline)
-	for _, fn := range idx.order {
-		di := idx.funcs[fn]
-		timelines[fn] = collectLockFacts(di.pkg, di.decl)
-	}
-
-	// Transitive acquire sets by fixed point: a function acquires what it
-	// locks directly (including in deferred closures, which run within the
-	// call) plus whatever its static module callees acquire.
-	acquires := make(map[*types.Func]map[lockClass]bool)
-	for _, fn := range idx.order {
-		acquires[fn] = make(map[lockClass]bool)
-		for _, tl := range timelines[fn] {
-			if tl.concurrent {
-				continue
-			}
-			for _, e := range tl.events {
-				if e.acquire {
-					acquires[fn][e.class] = true
-				}
-			}
-		}
-	}
-	for {
-		changed := false
-		for _, fn := range idx.order {
-			for _, tl := range timelines[fn] {
-				if tl.concurrent {
-					continue
-				}
-				for _, c := range tl.calls {
-					if c.fn == nil {
-						continue
-					}
-					for cls := range acquires[c.fn] {
-						if !acquires[fn][cls] {
-							acquires[fn][cls] = true
-							changed = true
-						}
-					}
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
+	m := buildLockModel(mp.Pkgs, nil)
 	var edges []lockEdge
-	for _, fn := range idx.order {
-		di := idx.funcs[fn]
-		for _, tl := range timelines[fn] {
-			edges = append(edges, simulateTimeline(mp, di.pkg, tl, acquires)...)
+	m.walk(func(s lockSite) {
+		it := s.item
+		switch {
+		case len(s.held) == 0: // nothing held: no ordering, no finding
+		case it.kind == itemAcquire:
+			for k, h := range s.held {
+				if h != it.class && !slices.Contains(s.held[:k], h) {
+					edges = append(edges, lockEdge{from: h, to: it.class, pos: it.pos, pkg: s.pkg})
+				}
+			}
+		case it.kind == itemCall && it.fn == nil:
+			mp.Reportf(s.pkg.Fset, it.pos,
+				"dynamic call %s while holding %s; the analysis cannot rule out blocking or lock re-entry in the callee",
+				it.desc, describeHeld(s.held))
+		case it.kind == itemCall:
+			for cls := range m.acquires[it.fn] {
+				for k, h := range s.held {
+					switch {
+					case slices.Contains(s.held[:k], h):
+					case h == cls:
+						mp.Reportf(s.pkg.Fset, it.pos,
+							"call to %s acquires %s, which is already held here: self-deadlock",
+							it.fn.Name(), cls)
+					default:
+						edges = append(edges, lockEdge{
+							from: h, to: cls, pos: it.pos, pkg: s.pkg,
+							how: fmt.Sprintf("via call to %s", it.fn.Name()),
+						})
+					}
+				}
+			}
 		}
-	}
+	})
 	reportLockCycles(mp, edges)
 }
 
-// simulateTimeline walks one timeline in source order tracking the held
-// multiset, reporting held dynamic calls and self-deadlocks, and returning
-// the ordering edges it witnesses.
-func simulateTimeline(mp *ModulePass, pkg *Package, tl lockTimeline, acquires map[*types.Func]map[lockClass]bool) []lockEdge {
-	merged := make([]any, 0, len(tl.events)+len(tl.calls))
-	for _, e := range tl.events {
-		merged = append(merged, e)
-	}
-	for _, c := range tl.calls {
-		merged = append(merged, c)
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return lockItemPos(merged[i]) < lockItemPos(merged[j]) })
-
-	var edges []lockEdge
-	held := make(map[lockClass]int)
-	var heldOrder []lockClass
-	for _, item := range merged {
-		switch it := item.(type) {
-		case lockEvent:
-			if !it.acquire {
-				// A deferred unlock keeps the lock held for the rest of the
-				// walk, matching its real extent.
-				if !it.deferred && held[it.class] > 0 {
-					held[it.class]--
-					if held[it.class] == 0 {
-						heldOrder = removeClass(heldOrder, it.class)
-					}
-				}
-				continue
-			}
-			for cls, n := range held {
-				if n > 0 && cls != it.class {
-					edges = append(edges, lockEdge{from: cls, to: it.class, pos: it.pos, pkg: pkg})
-				}
-			}
-			held[it.class]++
-			if held[it.class] == 1 {
-				heldOrder = append(heldOrder, it.class)
-			}
-		case lockCall:
-			if len(heldOrder) == 0 {
-				continue
-			}
-			if it.dynamic {
-				mp.Reportf(pkg.Fset, it.pos,
-					"dynamic call %s while holding %s; the analysis cannot rule out blocking or lock re-entry in the callee",
-					it.desc, describeHeld(heldOrder))
-				continue
-			}
-			for cls := range acquires[it.fn] {
-				for held2, n := range held {
-					if n == 0 {
-						continue
-					}
-					if held2 == cls {
-						mp.Reportf(pkg.Fset, it.pos,
-							"call to %s acquires %s, which is already held here: self-deadlock",
-							it.fn.Name(), cls)
-						continue
-					}
-					edges = append(edges, lockEdge{
-						from: held2, to: cls, pos: it.pos, pkg: pkg,
-						how: fmt.Sprintf("via call to %s", it.fn.Name()),
-					})
-				}
-			}
+func describeHeld(held []lockClass) string {
+	var names []string
+	for k, c := range held {
+		if !slices.Contains(held[:k], c) {
+			names = append(names, c.String())
 		}
-	}
-	return edges
-}
-
-func lockItemPos(it any) token.Pos {
-	switch v := it.(type) {
-	case lockEvent:
-		return v.pos
-	case lockCall:
-		return v.pos
-	}
-	return token.NoPos
-}
-
-func removeClass(order []lockClass, c lockClass) []lockClass {
-	out := order[:0]
-	for _, x := range order {
-		if x != c {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func describeHeld(order []lockClass) string {
-	names := make([]string, len(order))
-	for i, c := range order {
-		names[i] = c.String()
 	}
 	return strings.Join(names, ", ")
 }
@@ -288,63 +301,82 @@ func reportLockCycles(mp *ModulePass, edges []lockEdge) {
 	}
 }
 
-// collectLockFacts extracts the timelines of decl: its own body, plus one
-// per function literal (deferred closures stay non-concurrent because they
-// run within the call; go-statement closures are marked concurrent).
-func collectLockFacts(pkg *Package, decl *ast.FuncDecl) []lockTimeline {
-	var timelines []lockTimeline
-	var walk func(root ast.Node, tl *lockTimeline)
-	newTimeline := func(body *ast.BlockStmt, concurrent bool) {
-		tl := lockTimeline{concurrent: concurrent}
-		walk(body, &tl)
-		timelines = append(timelines, tl)
+// collectLockFacts extracts the timelines of decl: its own body first, then
+// one per function literal, each reached from its parent through a closure
+// item. Selections of a field in guards become access items, except a Load
+// on a sync/atomic-typed field, which is safe without the lock.
+func collectLockFacts(pkg *Package, decl *ast.FuncDecl, guards map[types.Object]lockClass) []lockTimeline {
+	var tls []lockTimeline
+	var walk func(root ast.Node, i int)
+	add := func(i int, it lockItem) { tls[i].items = append(tls[i].items, it) }
+	closure := func(i int, lit *ast.FuncLit, goStmt bool) {
+		child := len(tls)
+		tls = append(tls, lockTimeline{concurrent: goStmt || tls[i].concurrent})
+		walk(lit.Body, child)
+		add(i, lockItem{pos: lit.Pos(), kind: itemClosure, child: child})
 	}
-	walk = func(root ast.Node, tl *lockTimeline) {
+	// deferOrGo records a defer or go statement. A literal becomes a closure
+	// timeline; any other deferred call is recorded here, while a spawned one
+	// runs concurrently and is not charged to this frame. The callee and
+	// arguments are evaluated in this frame either way.
+	deferOrGo := func(i int, call *ast.CallExpr, goStmt bool) {
+		if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+			closure(i, lit, goStmt)
+		} else {
+			if !goStmt {
+				visitLockCall(pkg, call, true, &tls[i])
+			}
+			walk(call.Fun, i)
+		}
+		for _, a := range call.Args {
+			walk(a, i)
+		}
+	}
+	atomicLoads := make(map[ast.Expr]bool)
+	walk = func(root ast.Node, i int) {
 		ast.Inspect(root, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-					newTimeline(lit.Body, true)
-				}
-				// The spawned call itself runs concurrently: its acquires
-				// are not charged here. Arguments are evaluated in this
-				// frame, so walk them.
-				for _, a := range n.Call.Args {
-					walk(a, tl)
-				}
+				deferOrGo(i, n.Call, true)
 				return false
 			case *ast.DeferStmt:
-				if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-					newTimeline(lit.Body, false)
-				} else {
-					visitLockCall(pkg, n.Call, true, tl)
-				}
-				for _, a := range n.Call.Args {
-					walk(a, tl)
-				}
+				deferOrGo(i, n.Call, false)
 				return false
 			case *ast.FuncLit:
-				newTimeline(n.Body, false)
+				closure(i, n, false)
 				return false
 			case *ast.CallExpr:
 				if _, ok := ast.Unparen(n.Fun).(*ast.FuncLit); !ok {
-					visitLockCall(pkg, n, false, tl)
+					visitLockCall(pkg, n, false, &tls[i])
 				}
-				return true
+			case *ast.SelectorExpr:
+				sel, ok := pkg.Info.Selections[n]
+				if !ok || len(guards) == 0 {
+					break
+				}
+				if fn, ok := sel.Obj().(*types.Func); ok && fn.Name() == "Load" && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
+					atomicLoads[ast.Unparen(n.X)] = true
+				}
+				if cls, ok := guards[sel.Obj()]; ok && !atomicLoads[n] {
+					add(i, lockItem{pos: n.Pos(), kind: itemAccess, class: cls, desc: sel.Obj().Name()})
+				}
+			case *ast.BlockStmt:
+				if k := len(n.List); k > 0 {
+					if _, ok := n.List[k-1].(*ast.ReturnStmt); ok {
+						add(i, lockItem{pos: n.Lbrace, kind: itemScope, end: n.Rbrace})
+					}
+				}
 			}
 			return true
 		})
 	}
-	rootTl := lockTimeline{}
-	walk(decl.Body, &rootTl)
-	timelines = append([]lockTimeline{rootTl}, timelines...)
-	// Re-sort events and calls: nested walks may append out of order.
-	for i := range timelines {
-		tl := &timelines[i]
-		sort.SliceStable(tl.events, func(a, b int) bool { return tl.events[a].pos < tl.events[b].pos })
-		sort.SliceStable(tl.calls, func(a, b int) bool { return tl.calls[a].pos < tl.calls[b].pos })
+	tls = append(tls, lockTimeline{})
+	walk(decl.Body, 0)
+	// Nested walks append out of order; the simulation needs source order.
+	for i := range tls {
+		sort.SliceStable(tls[i].items, func(a, b int) bool { return tls[i].items[a].pos < tls[i].items[b].pos })
 	}
-	return timelines
+	return tls
 }
 
 // visitLockCall classifies one call as a mutex operation, a static call, or
@@ -356,15 +388,19 @@ func visitLockCall(pkg *Package, call *ast.CallExpr, deferred bool, tl *lockTime
 		return
 	case callStatic:
 		if cls, acquire, ok := mutexOp(pkg, call, fn); ok {
-			tl.events = append(tl.events, lockEvent{pos: call.Pos(), class: cls, acquire: acquire, deferred: deferred})
+			k := itemRelease
+			if acquire {
+				k = itemAcquire
+			}
+			tl.items = append(tl.items, lockItem{pos: call.Pos(), kind: k, class: cls, deferred: deferred})
 			return
 		}
 		// Static calls are recorded unconditionally; the simulation only
 		// consults the callee's acquire summary, which is empty for
 		// functions outside the analyzed set (stdlib and friends).
-		tl.calls = append(tl.calls, lockCall{pos: call.Pos(), fn: fn, desc: fn.Name()})
+		tl.items = append(tl.items, lockItem{pos: call.Pos(), kind: itemCall, fn: fn, desc: fn.Name()})
 	default:
-		tl.calls = append(tl.calls, lockCall{pos: call.Pos(), dynamic: true, desc: callDesc(call)})
+		tl.items = append(tl.items, lockItem{pos: call.Pos(), kind: itemCall, desc: callDesc(call)})
 	}
 }
 

@@ -28,26 +28,14 @@ import (
 // An amortized growth path inside a noalloc function must be annotated
 // //lint:allow noalloc <reason> on the allocating line.
 func NoAllocAnalyzer() *Analyzer {
-	a := &Analyzer{
-		Name: "noalloc",
-		Doc:  "functions marked //remicss:noalloc must not contain allocating constructs",
-	}
-	a.Run = func(pass *Pass) {
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || !hasMarker(fd.Doc, "noalloc") {
-					continue
-				}
-				checkNoAlloc(pass, fd)
-			}
-		}
-	}
-	return a
+	return funcAnalyzer("noalloc", "functions marked //remicss:noalloc must not contain allocating constructs", checkNoAlloc)
 }
 
-// checkNoAlloc walks one annotated function body.
+// checkNoAlloc walks one function body, if it is annotated.
 func checkNoAlloc(pass *Pass, fd *ast.FuncDecl) {
+	if !hasMarker(fd.Doc, "noalloc") {
+		return
+	}
 	// selfAppend marks append calls whose result is assigned back to the
 	// same slice expression they grow — the amortized reuse pattern.
 	selfAppend := make(map[*ast.CallExpr]bool)

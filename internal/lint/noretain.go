@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -20,36 +19,18 @@ import (
 //     []byte (the receiver-ingest side of ServeConcurrent), and
 //   - any function annotated //remicss:noretain with a []byte parameter.
 //
-// Within a checked function the analyzer tracks local aliases of the
-// parameter (x := datagram, y := x[2:8], append(datagram, ...)) and reports
-// any store of an alias into a struct field, package-level variable, map,
-// slice element, channel, sync.Pool, or composite literal, and any closure
-// that captures an alias (it may outlive the call). Copying the bytes out
-// (copy, append into a buffer the function owns) and passing the slice to
-// another function for the duration of the call are both allowed; aliases
-// laundered through opaque calls are a documented blind spot of the local
-// analysis.
+// The parameter is followed through local aliases by walkAliases, and the
+// analyzer reports any store of an alias into a struct field, package-level
+// variable, map, slice element, channel, sync.Pool, or composite literal,
+// and any closure that captures an alias (it may outlive the call). Copying
+// the bytes out (copy, append into a buffer the function owns) and passing
+// the slice to another function for the duration of the call are both
+// allowed; aliases laundered through opaque calls are a documented blind
+// spot of the local analysis.
 func NoRetainAnalyzer() *Analyzer {
-	a := &Analyzer{
-		Name: "noretain",
-		Doc:  "Link.Send and datagram-ingest implementations must not retain their []byte argument",
-	}
-	a.Run = func(pass *Pass) {
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				param := noRetainParam(pass, fd)
-				if param == nil {
-					continue
-				}
-				checkNoRetain(pass, fd, param)
-			}
-		}
-	}
-	return a
+	return funcAnalyzer("noretain",
+		"Link.Send and datagram-ingest implementations must not retain their []byte argument",
+		func(pass *Pass, fd *ast.FuncDecl) { walkAliases(pass, fd, noRetainParam(pass, fd), noRetainSink) })
 }
 
 // noRetainParam returns the tracked []byte parameter object when fd matches
@@ -57,15 +38,6 @@ func NoRetainAnalyzer() *Analyzer {
 func noRetainParam(pass *Pass, fd *ast.FuncDecl) types.Object {
 	sig, ok := pass.TypeOf(fd.Name).(*types.Signature)
 	if !ok {
-		return nil
-	}
-	firstByteSlice := func() types.Object {
-		params := sig.Params()
-		for i := 0; i < params.Len(); i++ {
-			if isByteSlice(params.At(i).Type()) {
-				return params.At(i)
-			}
-		}
 		return nil
 	}
 	switch {
@@ -76,128 +48,65 @@ func noRetainParam(pass *Pass, fd *ast.FuncDecl) types.Object {
 	case fd.Name.Name == "HandleDatagram" && sig.Params().Len() >= 1 && isByteSlice(sig.Params().At(0).Type()):
 		return sig.Params().At(0)
 	case hasMarker(fd.Doc, "noretain"):
-		return firstByteSlice()
+		return firstByteSliceParam(sig)
 	}
 	return nil
 }
 
-// aliasSet tracks which local objects currently alias the parameter slice.
-type aliasSet map[types.Object]bool
-
-// aliasExpr reports whether e evaluates to a slice aliasing the tracked
-// parameter: the parameter itself, a tracked local, a subslice of either,
-// or an append to one (append may return the same backing array).
-func (s aliasSet) aliasExpr(pass *Pass, e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return s[pass.Info.Uses[e]]
-	case *ast.ParenExpr:
-		return s.aliasExpr(pass, e.X)
-	case *ast.SliceExpr:
-		return s.aliasExpr(pass, e.X)
+// noRetainSink is noretain's table of forbidden uses of an alias.
+func noRetainSink(w *aliasWalk, n ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		if len(n.Lhs) != len(n.Rhs) {
+			break
+		}
+		for i, lhs := range n.Lhs {
+			if !w.alias(n.Rhs[i]) {
+				continue
+			}
+			id, ok := lhs.(*ast.Ident)
+			switch {
+			case !ok:
+				w.reportf(n.Rhs[i].Pos(), "%s stores the datagram (or a subslice) into %s: the no-retention contract requires copying first", types.ExprString(lhs))
+			case w.pass.Info.Uses[id] != nil && w.pass.Info.Uses[id].Parent() == w.pass.Pkg.Scope():
+				w.reportf(n.Rhs[i].Pos(), "%s stores the datagram (or a subslice) into package-level variable %s: the no-retention contract requires copying first", id.Name)
+			}
+		}
+	case *ast.SendStmt:
+		if w.alias(n.Value) {
+			w.reportf(n.Value.Pos(), "%s sends the datagram into a channel, retaining it past the call: copy first")
+		}
 	case *ast.CallExpr:
-		if isBuiltin(pass, e.Fun, "append") && len(e.Args) > 0 {
-			return s.aliasExpr(pass, e.Args[0])
-		}
-	}
-	return false
-}
-
-// checkNoRetain walks fd's body in source order, maintaining the alias set
-// and reporting escapes.
-func checkNoRetain(pass *Pass, fd *ast.FuncDecl, param types.Object) {
-	aliases := aliasSet{param: true}
-	pkgScope := pass.Pkg.Scope()
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i := range n.Lhs {
-				rhsAlias := aliases.aliasExpr(pass, n.Rhs[i])
-				switch lhs := n.Lhs[i].(type) {
-				case *ast.Ident:
-					var obj types.Object
-					if n.Tok == token.DEFINE {
-						obj = pass.Info.Defs[lhs]
-					} else {
-						obj = pass.Info.Uses[lhs]
-					}
-					if obj == nil {
-						continue
-					}
-					if obj.Parent() == pkgScope {
-						if rhsAlias {
-							pass.Reportf(n.Rhs[i].Pos(), "%s stores the datagram (or a subslice) into package-level variable %s: the no-retention contract requires copying first", fd.Name.Name, lhs.Name)
-						}
-						continue
-					}
-					if rhsAlias {
-						aliases[obj] = true
-					} else {
-						delete(aliases, obj)
-					}
-				default:
-					if rhsAlias {
-						pass.Reportf(n.Rhs[i].Pos(), "%s stores the datagram (or a subslice) into %s: the no-retention contract requires copying first", fd.Name.Name, types.ExprString(n.Lhs[i]))
-					}
+		if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Put" && isSyncPool(w.pass.TypeOf(sel.X)) {
+			for _, arg := range n.Args {
+				if w.alias(arg) {
+					w.reportf(arg.Pos(), "%s puts the datagram into a sync.Pool, retaining it past the call: copy first")
 				}
-			}
-		case *ast.SendStmt:
-			if aliases.aliasExpr(pass, n.Value) {
-				pass.Reportf(n.Value.Pos(), "%s sends the datagram into a channel, retaining it past the call: copy first", fd.Name.Name)
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Put" && isSyncPool(pass.TypeOf(sel.X)) {
-				for _, arg := range n.Args {
-					if aliases.aliasExpr(pass, arg) {
-						pass.Reportf(arg.Pos(), "%s puts the datagram into a sync.Pool, retaining it past the call: copy first", fd.Name.Name)
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			for _, elt := range n.Elts {
-				v := elt
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					v = kv.Value
-				}
-				if aliases.aliasExpr(pass, v) {
-					pass.Reportf(v.Pos(), "%s stores the datagram into a composite literal, which may outlive the call: copy first", fd.Name.Name)
-				}
-			}
-		case *ast.FuncLit:
-			if capturesAlias(pass, n, aliases) {
-				pass.Reportf(n.Pos(), "closure in %s captures the datagram and may run after Send returns: copy first", fd.Name.Name)
-				return false
 			}
 		}
-		return true
-	}
-	ast.Inspect(fd.Body, walk)
-}
-
-// capturesAlias reports whether the function literal references any tracked
-// alias of the parameter.
-func capturesAlias(pass *Pass, fn *ast.FuncLit, aliases aliasSet) bool {
-	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && aliases[pass.Info.Uses[id]] {
-			found = true
+	case *ast.CompositeLit:
+		for _, elt := range n.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			if w.alias(elt) {
+				w.reportf(elt.Pos(), "%s stores the datagram into a composite literal, which may outlive the call: copy first")
+			}
 		}
-		return !found
-	})
-	return found
-}
-
-func isByteSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
+	case *ast.FuncLit:
+		captured := false
+		ast.Inspect(n.Body, func(m ast.Node) bool {
+			if id, ok := m.(*ast.Ident); ok && w.aliases[w.pass.Info.Uses[id]] {
+				captured = true
+			}
+			return !captured
+		})
+		if captured {
+			w.reportf(n.Pos(), "closure in %s captures the datagram and may run after Send returns: copy first")
+			return false
+		}
 	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
+	return true
 }
 
 func isBool(t types.Type) bool {

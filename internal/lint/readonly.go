@@ -14,31 +14,14 @@ import (
 //
 // Checked functions are those whose name starts with "Unmarshal" and that
 // take a []byte parameter, plus any function annotated //remicss:readonly
-// with a []byte parameter. The first []byte parameter is tracked through
-// local aliases (ident, parenthesization, subslicing), and the analyzer
-// reports element writes, copy/clear/append with an alias as destination,
-// and binary.ByteOrder Put* calls targeting an alias.
+// with a []byte parameter. The first []byte parameter is followed through
+// local aliases by walkAliases (the same walker noretain uses), and the
+// analyzer reports element writes, copy/clear/append with an alias as
+// destination, and binary.ByteOrder Put* calls targeting an alias.
 func ReadOnlyInputAnalyzer() *Analyzer {
-	a := &Analyzer{
-		Name: "readonly-input",
-		Doc:  "Unmarshal-shaped functions must not write through their input slice",
-	}
-	a.Run = func(pass *Pass) {
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				param := readOnlyParam(pass, fd)
-				if param == nil {
-					continue
-				}
-				checkReadOnly(pass, fd, param)
-			}
-		}
-	}
-	return a
+	return funcAnalyzer("readonly-input",
+		"Unmarshal-shaped functions must not write through their input slice",
+		func(pass *Pass, fd *ast.FuncDecl) { walkAliases(pass, fd, readOnlyParam(pass, fd), readOnlySink) })
 }
 
 // readOnlyParam returns the input []byte parameter object when fd is an
@@ -51,85 +34,33 @@ func readOnlyParam(pass *Pass, fd *ast.FuncDecl) types.Object {
 	if !ok {
 		return nil
 	}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if isByteSlice(params.At(i).Type()) {
-			return params.At(i)
-		}
-	}
-	return nil
+	return firstByteSliceParam(sig)
 }
 
-// roAlias reports whether e aliases the tracked input parameter: the
-// parameter itself, a local bound to it, or a subslice of either.
-func roAlias(pass *Pass, aliases aliasSet, e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return aliases[pass.Info.Uses[e]]
-	case *ast.ParenExpr:
-		return roAlias(pass, aliases, e.X)
-	case *ast.SliceExpr:
-		return roAlias(pass, aliases, e.X)
-	}
-	return false
-}
-
-// checkReadOnly walks fd's body tracking aliases of the input parameter and
-// reporting writes through them.
-func checkReadOnly(pass *Pass, fd *ast.FuncDecl, param types.Object) {
-	aliases := aliasSet{param: true}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if idx, ok := lhs.(*ast.IndexExpr); ok && roAlias(pass, aliases, idx.X) {
-					pass.Reportf(lhs.Pos(), "%s writes to its input slice: the read-only contract forbids mutating the caller's buffer", fd.Name.Name)
+// readOnlySink is readonly-input's table of forbidden uses of an alias.
+func readOnlySink(w *aliasWalk, n ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			if idx, ok := lhs.(*ast.IndexExpr); ok && w.alias(idx.X) {
+				w.reportf(lhs.Pos(), "%s writes to its input slice: the read-only contract forbids mutating the caller's buffer")
+			}
+		}
+	case *ast.CallExpr:
+		if len(n.Args) == 0 || !w.alias(n.Args[0]) {
+			break
+		}
+		if id, ok := n.Fun.(*ast.Ident); ok {
+			if b, ok := w.pass.Info.Uses[id].(*types.Builtin); ok {
+				switch b.Name() {
+				case "copy", "append", "clear":
+					w.reportf(n.Args[0].Pos(), "%s passes its input slice to %s as the destination, which writes to the caller's buffer", b.Name())
 				}
 			}
-			if len(n.Lhs) == len(n.Rhs) {
-				for i := range n.Lhs {
-					id, ok := n.Lhs[i].(*ast.Ident)
-					if !ok {
-						continue
-					}
-					obj := pass.Info.Defs[id]
-					if obj == nil {
-						obj = pass.Info.Uses[id]
-					}
-					if obj == nil || obj == param {
-						continue
-					}
-					if roAlias(pass, aliases, n.Rhs[i]) {
-						aliases[obj] = true
-					} else {
-						delete(aliases, obj)
-					}
-				}
-			}
-		case *ast.CallExpr:
-			checkReadOnlyCall(pass, fd, aliases, n)
 		}
-		return true
-	})
-}
-
-// checkReadOnlyCall flags builtins and ByteOrder Put* methods that write
-// into an alias of the input slice.
-func checkReadOnlyCall(pass *Pass, fd *ast.FuncDecl, aliases aliasSet, call *ast.CallExpr) {
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if b, ok := pass.Info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "copy", "append", "clear":
-				if len(call.Args) > 0 && roAlias(pass, aliases, call.Args[0]) {
-					pass.Reportf(call.Args[0].Pos(), "%s passes its input slice to %s as the destination, which writes to the caller's buffer", fd.Name.Name, b.Name())
-				}
-			}
-			return
+		if sel, ok := n.Fun.(*ast.SelectorExpr); ok && strings.HasPrefix(sel.Sel.Name, "Put") {
+			w.reportf(n.Args[0].Pos(), "%s writes to its input slice via %s: the read-only contract forbids mutating the caller's buffer", sel.Sel.Name)
 		}
 	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && strings.HasPrefix(sel.Sel.Name, "Put") {
-		if len(call.Args) > 0 && roAlias(pass, aliases, call.Args[0]) {
-			pass.Reportf(call.Args[0].Pos(), "%s writes to its input slice via %s: the read-only contract forbids mutating the caller's buffer", fd.Name.Name, sel.Sel.Name)
-		}
-	}
+	return true
 }

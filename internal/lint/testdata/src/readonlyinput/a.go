@@ -33,6 +33,21 @@ func UnmarshalScrub(data []byte) {
 	data[0] = 0
 }
 
+// UnmarshalGrown writes through an append of its input, which may share
+// the input's backing array.
+func UnmarshalGrown(data []byte) {
+	grown := append(data[:2], 0) // want `passes its input slice to append as the destination`
+	grown[0] = 1                 // want `UnmarshalGrown writes to its input slice`
+}
+
+// UnmarshalFresh rebinds its parameter to a buffer it owns before writing:
+// the input is no longer reachable through the name.
+func UnmarshalFresh(data []byte) byte {
+	data = make([]byte, 4)
+	data[0] = 1
+	return data[0]
+}
+
 // UnmarshalClean decodes without writing, as the contract requires.
 func UnmarshalClean(data []byte) uint16 {
 	scratch := make([]byte, 2)

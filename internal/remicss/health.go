@@ -222,8 +222,7 @@ func (t *HealthTracker) FailureRate(ch int) float64 {
 
 // transition moves a channel to a new state, mirroring it into the
 // metrics and trace.
-//
-//lint:allow mutexguard callers hold mu
+// Callers hold mu.
 func (t *HealthTracker) transition(ch int, to HealthState) {
 	c := &t.chans[ch]
 	if c.state == to {
@@ -237,8 +236,7 @@ func (t *HealthTracker) transition(ch int, to HealthState) {
 
 // observe folds one failure observation (fail in [0, 1]) into the EWMA
 // and runs the threshold transitions.
-//
-//lint:allow mutexguard callers hold mu
+// Callers hold mu.
 func (t *HealthTracker) observe(ch int, fail float64) {
 	c := &t.chans[ch]
 	c.ewma = (1-t.cfg.Alpha)*c.ewma + t.cfg.Alpha*fail
@@ -260,8 +258,7 @@ func (t *HealthTracker) observe(ch int, fail float64) {
 }
 
 // down excludes a channel and schedules its first (or next) probe.
-//
-//lint:allow mutexguard callers hold mu
+// Callers hold mu.
 func (t *HealthTracker) down(ch int) {
 	c := &t.chans[ch]
 	if c.state == HealthDown {

@@ -230,8 +230,7 @@ type entry struct {
 var entryPool slotpool.Pool[entry]
 
 // bit locates seq's bit in the replay window.
-//
-//lint:allow mutexguard callers hold sh.mu
+// Callers hold sh.mu.
 func (sh *recvShard) bit(seq uint64) (word *uint64, mask uint64) {
 	i := seq % sh.span
 	return &sh.window[i/64], 1 << (i % 64)
@@ -239,8 +238,7 @@ func (sh *recvShard) bit(seq uint64) (word *uint64, mask uint64) {
 
 // refuses reports whether the replay window refuses seq: delivered already,
 // or so far behind top that the window no longer tells.
-//
-//lint:allow mutexguard callers hold sh.mu
+// Callers hold sh.mu.
 func (sh *recvShard) refuses(seq uint64) bool {
 	word, mask := sh.bit(seq)
 	return seq <= sh.top && (sh.top-seq >= sh.span || *word&mask != 0)
@@ -249,8 +247,7 @@ func (sh *recvShard) refuses(seq uint64) bool {
 // markDelivered sets seq's bit, after moving top up to seq and clearing the
 // bit of every seq that thereby enters the window: it is the bit of one that
 // leaves. The caller has checked !refuses(seq).
-//
-//lint:allow mutexguard callers hold sh.mu
+// Callers hold sh.mu.
 func (sh *recvShard) markDelivered(seq uint64) {
 	if seq > sh.top && seq-sh.top >= sh.span {
 		clear(sh.window)
@@ -266,8 +263,7 @@ func (sh *recvShard) markDelivered(seq uint64) {
 }
 
 // pushNewest appends e to the shard's admission order.
-//
-//lint:allow mutexguard callers hold sh.mu
+// Callers hold sh.mu.
 func (sh *recvShard) pushNewest(e *entry) {
 	e.prev, e.next = sh.newest, nil
 	if sh.newest != nil {
@@ -279,8 +275,7 @@ func (sh *recvShard) pushNewest(e *entry) {
 }
 
 // unlink removes e from the shard's admission order.
-//
-//lint:allow mutexguard callers hold sh.mu
+// Callers hold sh.mu.
 func (sh *recvShard) unlink(e *entry) {
 	if e.prev != nil {
 		e.prev.next = e.next
@@ -514,8 +509,7 @@ func (r *Receiver) Tick() {
 }
 
 // evictExpired evicts the shard's symbols older than the timeout, oldest first.
-//
-//lint:allow mutexguard callers hold sh.mu
+// Callers hold sh.mu.
 func (r *Receiver) evictExpired(sh *recvShard, now time.Duration) {
 	for e := sh.oldest; e != nil && now-e.arrived >= r.cfg.Timeout; e = sh.oldest {
 		r.evict(sh, e, now)
@@ -524,8 +518,7 @@ func (r *Receiver) evictExpired(sh *recvShard, now time.Duration) {
 
 // admit makes room for a new entry under the shard's slice of the memory
 // cap.
-//
-//lint:allow mutexguard callers hold sh.mu
+// Callers hold sh.mu.
 func (r *Receiver) admit(sh *recvShard) {
 	for len(sh.pending) >= sh.maxPending {
 		r.evict(sh, sh.oldest, sh.oldest.arrived+r.cfg.Timeout)
@@ -542,8 +535,7 @@ func (r *Receiver) evict(sh *recvShard, e *entry, now time.Duration) {
 }
 
 // remove takes one entry out of its shard and pools it, buffers and all.
-//
-//lint:allow mutexguard callers hold sh.mu
+// Callers hold sh.mu.
 func (r *Receiver) remove(sh *recvShard, e *entry) {
 	sh.unlink(e)
 	delete(sh.pending, e.seq)

@@ -293,8 +293,6 @@ func (c *Cache) OptimizeLarge(s core.Set, kappa, mu float64, obj Objective) (cor
 // warmSolve runs one program through the retained solver and classifies the
 // outcome as a warm or cold tier, advancing the warm counters. Caller holds
 // c.mu.
-//
-//lint:allow mutexguard both call sites (resolve, OptimizeLarge) hold c.mu across the call
 func (c *Cache) warmSolve(prob lp.Problem) (lp.Solution, SolveTier, error) {
 	sol, basis, err := c.solver.WarmSolve(c.basis, prob)
 	if err != nil {

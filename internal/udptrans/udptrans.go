@@ -182,8 +182,7 @@ func DialImpaired(raddr string, rate float64, burst int, im Impairment) (*Link, 
 }
 
 // refill tops up the token bucket.
-//
-//lint:allow mutexguard callers hold mu
+// Callers hold mu.
 func (l *Link) refill(now time.Time) {
 	if l.rate == 0 {
 		return
