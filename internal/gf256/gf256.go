@@ -1,10 +1,21 @@
 // Package gf256 implements arithmetic over the finite field GF(2^8).
 //
 // The field is realized as GF(2)[x] / (x^8 + x^4 + x^3 + x + 1), the same
-// irreducible polynomial used by AES (0x11b). Multiplication and division
-// are table-driven via discrete logarithms with generator 0x03, so every
-// operation is constant-time with respect to branching on secret values
-// except for the explicit zero checks documented below.
+// irreducible polynomial used by AES (0x11b).
+//
+// Two kinds of operation, with different timing properties:
+//
+//   - The slice kernels (MulSlice, AddMulSlice, MulAddSlice, HornerBlock,
+//     AddSlice) are data-independent: no memory is indexed by the data
+//     bytes, and branches depend only on lengths and the multiplier, which
+//     callers take from public values (share x-coordinates, Lagrange
+//     weights). Secret bytes go through these.
+//   - Mul, Div, Inv, Exp, Log, Pow, EvalPoly and Interpolate are lookups in
+//     the discrete log/exp tables (generator 0x03) with zero checks, so
+//     their cache footprint depends on their operands. They are meant for
+//     public operands: x-coordinates and Lagrange weights. internal/blakley's
+//     Gaussian elimination is the one caller that still feeds them secret
+//     data.
 //
 // This package is the arithmetic substrate for the Shamir threshold scheme
 // in internal/shamir: secrets and shares are processed byte-by-byte, with
@@ -32,7 +43,7 @@ var (
 )
 
 // initTables builds every lookup table in this package — exp/log first, then
-// the 64 KiB multiplication table the slice kernels index. All construction
+// the nibble tables the avx2 kernel broadcasts. All construction
 // lives in one function so there is exactly one ordering, independent of the
 // source-file order Go would otherwise use to sequence per-file init funcs.
 // sync.OnceFunc makes explicit calls from any entry point idempotent.
@@ -52,26 +63,16 @@ func buildTables() {
 			x ^= poly
 		}
 	}
-	// mulTable[c][a] = c*a, derived from the log/exp tables built above.
-	// Row and column 0 stay zero from the array's zero value.
-	for c := 1; c < 256; c++ {
-		row := &mulTable[c]
-		logC := int(logTable[c])
-		for a := 1; a < 256; a++ {
-			row[a] = expTable[logC+int(logTable[a])]
-		}
-	}
 	// nibTab[c] is the split-nibble product table pair for c: entries [0,16)
 	// hold c*n for the low nibble n, entries [16,32) hold c*(n<<4) for the
 	// high nibble n. Multiplication is GF(2)-linear, so
 	// c*b = nibTab[c][b&0x0f] ^ nibTab[c][16+(b>>4)] — the vpshufb idiom the
-	// word-sliced and vector kernels build on. Derived from mulTable, so it
-	// must be built after the rows above.
+	// avx2 kernel builds on. Derived through Mul, so it must be built after
+	// the log/exp tables above.
 	for c := 0; c < 256; c++ {
-		row := &mulTable[c]
 		for n := 0; n < 16; n++ {
-			nibTab[c][n] = row[n]
-			nibTab[c][16+n] = row[n<<4]
+			nibTab[c][n] = Mul(byte(c), byte(n))
+			nibTab[c][16+n] = Mul(byte(c), byte(n<<4))
 		}
 	}
 	// The kernel for the general slice paths is selected exactly once, after

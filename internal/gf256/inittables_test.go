@@ -85,20 +85,13 @@ func TestKernelBeforeScalarOps(t *testing.T) {
 }
 
 func TestInitTablesIdempotent(t *testing.T) {
-	var exp [510]byte
-	var mul [256][256]byte
-	copy(exp[:], expTable[:])
-	for i := range mul {
-		mul[i] = mulTable[i]
-	}
+	exp, nib := expTable, nibTab
 	initTables() // must be a no-op on a second call
 	if exp != expTable {
 		t.Fatal("initTables mutated expTable on repeat call")
 	}
-	for i := range mul {
-		if mul[i] != mulTable[i] {
-			t.Fatalf("initTables mutated mulTable row %d on repeat call", i)
-		}
+	if nib != nibTab {
+		t.Fatal("initTables mutated nibTab on repeat call")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // Golden known-answer vectors for the slice kernels, committed under
 // testdata so a table-construction or kernel regression cannot hide behind
-// a reference implementation regressing in the same change. The scalar
+// a reference implementation regressing in the same change. The Mul
 // anchors are published constants from FIPS-197 §4.2 (and the classic
 // {ff}·{ff} exercise); the slice vectors were generated from the table-free
 // shift-and-add reference and pinned.

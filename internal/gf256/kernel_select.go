@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"sync/atomic"
 )
 
@@ -21,8 +20,9 @@ type kernel struct {
 	// mulXorPass computes the Horner step acc[i] = x*acc[i] ^ coeff[i].
 	mulXorPass func(acc, coeff []byte, x byte)
 	// xorPass accumulates dst[i] ^= src[i] — field addition, the pad fold
-	// of the XOR scheme. No table is involved, but the pass still belongs
-	// to the kernel: the vector implementation moves 32 bytes per XOR.
+	// of the XOR scheme. No multiply is involved, but the pass still
+	// belongs to the kernel: the vector implementation moves 32 bytes per
+	// XOR.
 	xorPass func(dst, src []byte)
 }
 
@@ -43,20 +43,11 @@ var kernelTable = []struct {
 }{
 	{&gfniKernel, gfniAvailable},
 	{&avx2Kernel, avx2Available},
-	{&wordKernel, wordAvailable},
-	{&scalarKernel, func() bool { return true }},
-}
-
-var scalarKernel = kernel{
-	name:       "scalar",
-	mulPass:    scalarMulPass,
-	addMulPass: scalarAddMulPass,
-	mulXorPass: scalarMulXorPass,
-	xorPass:    scalarXorPass,
+	{&portableKernel, func() bool { return true }},
 }
 
 // kernelEnv is the override knob, read once at init: REMICSS_GFKERNEL names
-// the kernel to use (scalar, word, or a platform vector kernel), in the
+// the kernel to use (portable, or a platform vector kernel), in the
 // spirit of GODEBUG=cpu.all=off. CI runs a job leg with the fallbacks forced
 // so every compiled path stays tested; naming an unavailable or unknown
 // kernel is a hard failure, not a silent fallback, because a typo here would
@@ -78,16 +69,16 @@ func selectKernel() {
 			return
 		}
 	}
-	kern.Store(&scalarKernel) // unreachable: scalar is always available
+	kern.Store(&portableKernel) // unreachable: portable is always available
 }
 
-// KernelName reports the name of the active kernel ("scalar", "word", or a
+// KernelName reports the name of the active kernel ("portable", or a
 // platform vector kernel: "avx2", "gfni"), for logs and bench reports.
 func KernelName() string { return kern.Load().name }
 
 // Kernels lists the kernels available on this machine, sorted by name. Every
 // listed kernel can be activated with ForceKernel; the differential tests
-// iterate this list so each compiled path is pinned against the scalar
+// iterate this list so each compiled path is pinned against the table-free
 // reference no matter which one init selected.
 func Kernels() []string {
 	var names []string
@@ -137,8 +128,3 @@ func compiledKernels() []string {
 	}
 	return names
 }
-
-// wordAvailable gates the pure-Go word-sliced kernel on 64-bit targets: its
-// wide product tables trade 128 KiB per multiplier for 16-bit lookups, a
-// trade that only pays when uint64 word-slicing halves the load count.
-func wordAvailable() bool { return strconv.IntSize == 64 }

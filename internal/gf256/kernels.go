@@ -1,5 +1,7 @@
 package gf256
 
+import "encoding/binary"
+
 // Slice kernels: bulk field operations over whole byte slices. These exist
 // because the Shamir hot path (internal/shamir) evaluates one polynomial per
 // secret byte at the same x for every share — restructured block-wise, that
@@ -8,26 +10,26 @@ package gf256
 //
 // Each public entry point validates its arguments, handles the degenerate
 // multipliers (0 and 1), and hands the general case to the kernel selected
-// at init (see kernel_select.go): the scalar 64 KiB-product-table loop, the
-// pure-Go word-sliced kernel processing 8 bytes per step, the amd64 vpshufb
-// kernel working from the 16-entry nibble tables, or the amd64 GFNI kernel
-// multiplying 32 bytes per instruction. All kernels are bit-identical by
-// construction and pinned so by the differential tests.
+// at init (see kernel_select.go): the portable shift-and-add kernel
+// multiplying 8 bytes per uint64, the amd64 vpshufb kernel working from the
+// 16-entry nibble tables, or the amd64 GFNI kernel multiplying 32 bytes per
+// instruction. All kernels are bit-identical by construction and pinned so
+// by the differential tests.
+//
+// No kernel indexes memory by its data operand, so the time and cache
+// footprint of a pass depend only on its length and its multiplier. The
+// multiplier is always public — a share x-coordinate or a Lagrange weight —
+// so the portable kernel may branch on its bits, and nibTab is indexed by it
+// alone.
 //
 // All kernels require len(src) == len(dst) (or len(acc) == len(coeff)) and
 // panic otherwise: a length mismatch is a programming error in the caller's
 // buffer management, never a runtime condition.
 
-// mulTable[c] is the multiplication-by-c row: mulTable[c][a] = c*a. 64 KiB,
-// built by initTables (gf256.go) together with the log/exp tables it is
-// derived from; row access makes the scalar kernel branch-free per byte and
-// seeds the nibble and wide tables the faster kernels use.
-var mulTable [256][256]byte
-
 // nibTab[c] packs the two 16-entry nibble product tables for c — low-nibble
-// products in [0,16), high-nibble products in [16,32) — the layout the
-// vector kernel broadcasts into registers (one vpshufb per nibble) and the
-// wide-table builder expands from. 8 KiB total, built by initTables.
+// products in [0,16), high-nibble products in [16,32) — the layout the avx2
+// kernel broadcasts into registers (one vpshufb per nibble). 8 KiB total,
+// built by initTables.
 var nibTab [256][32]byte
 
 // MulSlice sets dst[i] = c * src[i] for every i. dst and src may be the
@@ -145,10 +147,98 @@ func AddSlice(dst, src []byte) {
 	kern.Load().xorPass(dst, src)
 }
 
-// scalarXorPass accumulates dst[i] ^= src[i] in 8-byte groups.
+// Portable kernel passes: each uint64 carries 8 field elements, multiplied
+// by shift-and-add in at most 8 rounds that branch only on the bits of the
+// public multiplier. This is the kernel on every build without the amd64
+// assembly, and the vector tiers finish their ragged tails through it.
+
+var portableKernel = kernel{
+	name:       "portable",
+	mulPass:    portableMulPass,
+	addMulPass: portableAddMulPass,
+	mulXorPass: portableMulXorPass,
+	xorPass:    portableXorPass,
+}
+
+// xtime8 multiplies each of the 8 bytes packed in v by x (0x02): shift every
+// byte left and fold each carried-out top bit back in as the reduction
+// polynomial's low byte, 0x1b.
+func xtime8(v uint64) uint64 {
+	return (v&0x7f7f7f7f7f7f7f7f)<<1 ^ (v>>7&0x0101010101010101)*0x1b
+}
+
+// mul8 multiplies each of the 8 bytes packed in v by c.
+func mul8(v uint64, c byte) uint64 {
+	var acc uint64
+	for ; c != 0; c >>= 1 {
+		if c&1 != 0 {
+			acc ^= v
+		}
+		v = xtime8(v)
+	}
+	return acc
+}
+
+// load8 reads the fewer than 8 bytes of b as one zero-padded word.
+func load8(b []byte) uint64 {
+	var w [8]byte
+	copy(w[:], b)
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// store8 writes the low len(b) < 8 bytes of v to b.
+func store8(b []byte, v uint64) {
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	copy(b, w[:])
+}
+
+// portableMulPass sets dst[i] = c*src[i].
 //
 //remicss:noalloc
-func scalarXorPass(dst, src []byte) {
+func portableMulPass(dst, src []byte, c byte) {
+	le := binary.LittleEndian
+	n := len(dst) &^ 7
+	for i := 0; i < n; i += 8 {
+		le.PutUint64(dst[i:], mul8(le.Uint64(src[i:]), c))
+	}
+	if n < len(dst) {
+		store8(dst[n:], mul8(load8(src[n:]), c))
+	}
+}
+
+// portableAddMulPass accumulates dst[i] ^= c*src[i].
+//
+//remicss:noalloc
+func portableAddMulPass(dst, src []byte, c byte) {
+	le := binary.LittleEndian
+	n := len(dst) &^ 7
+	for i := 0; i < n; i += 8 {
+		le.PutUint64(dst[i:], le.Uint64(dst[i:])^mul8(le.Uint64(src[i:]), c))
+	}
+	if n < len(dst) {
+		store8(dst[n:], load8(dst[n:])^mul8(load8(src[n:]), c))
+	}
+}
+
+// portableMulXorPass computes acc[i] = x*acc[i] ^ coeff[i].
+//
+//remicss:noalloc
+func portableMulXorPass(acc, coeff []byte, x byte) {
+	le := binary.LittleEndian
+	n := len(acc) &^ 7
+	for i := 0; i < n; i += 8 {
+		le.PutUint64(acc[i:], mul8(le.Uint64(acc[i:]), x)^le.Uint64(coeff[i:]))
+	}
+	if n < len(acc) {
+		store8(acc[n:], mul8(load8(acc[n:]), x)^load8(coeff[n:]))
+	}
+}
+
+// portableXorPass accumulates dst[i] ^= src[i] in 8-byte groups.
+//
+//remicss:noalloc
+func portableXorPass(dst, src []byte) {
 	n := len(dst) &^ 7
 	for i := 0; i < n; i += 8 {
 		// The compiler merges each 8-byte group into single word loads and
@@ -164,51 +254,5 @@ func scalarXorPass(dst, src []byte) {
 	}
 	for i := n; i < len(dst); i++ {
 		dst[i] ^= src[i]
-	}
-}
-
-// Scalar kernel passes: one 64 KiB-table load and one XOR per byte against a
-// pinned 256-byte row, 8-way unrolled. This is the reference implementation
-// every other kernel is differentially pinned against, and the fallback when
-// neither the word-sliced nor the vector path is selected.
-
-// scalarMulPass sets dst[i] = c*src[i]; c is never 0 or 1 here.
-//
-//remicss:noalloc
-func scalarMulPass(dst, src []byte, c byte) {
-	row := &mulTable[c]
-	for i, s := range src {
-		dst[i] = row[s]
-	}
-}
-
-// scalarAddMulPass accumulates dst[i] ^= c*src[i]; c is never 0 or 1 here.
-//
-//remicss:noalloc
-func scalarAddMulPass(dst, src []byte, c byte) {
-	row := &mulTable[c]
-	for i, s := range src {
-		dst[i] ^= row[s]
-	}
-}
-
-// scalarMulXorPass computes acc[i] = x*acc[i] ^ coeff[i]; x is never 0 here.
-//
-//remicss:noalloc
-func scalarMulXorPass(acc, coeff []byte, x byte) {
-	row := &mulTable[x]
-	n := len(acc) &^ 7
-	for i := 0; i < n; i += 8 {
-		acc[i+0] = row[acc[i+0]] ^ coeff[i+0]
-		acc[i+1] = row[acc[i+1]] ^ coeff[i+1]
-		acc[i+2] = row[acc[i+2]] ^ coeff[i+2]
-		acc[i+3] = row[acc[i+3]] ^ coeff[i+3]
-		acc[i+4] = row[acc[i+4]] ^ coeff[i+4]
-		acc[i+5] = row[acc[i+5]] ^ coeff[i+5]
-		acc[i+6] = row[acc[i+6]] ^ coeff[i+6]
-		acc[i+7] = row[acc[i+7]] ^ coeff[i+7]
-	}
-	for i := n; i < len(acc); i++ {
-		acc[i] = row[acc[i]] ^ coeff[i]
 	}
 }

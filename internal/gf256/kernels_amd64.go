@@ -15,15 +15,16 @@ package gf256
 //     broadcast into one YMM register each; every 32-byte step splits the
 //     data into low and high nibbles, resolves both through a single
 //     VPSHUFB each, and XORs the halves — two in-register shuffles per 32
-//     bytes where the scalar kernel issues 32 dependent table loads.
+//     bytes where the portable kernel runs up to 8 shift-and-add rounds
+//     per 8 bytes.
 //
-// The pure-Go word-sliced path stalls around 2.4 GB/s per pass on current
-// hardware, short of the ≥5× Shamir split target, which is what justifies
-// carrying assembly here (see DESIGN §13).
+// The portable kernel, constant-time without tables, runs below 1 GB/s per
+// pass for a general multiplier; one instruction per 32 products is what
+// justifies carrying assembly here (see DESIGN §13).
 //
 // The assembly handles whole 32-byte groups; the Go wrappers finish the
-// ragged tail with the scalar row so every length is bit-identical to the
-// reference.
+// ragged tail through the portable passes, so every length is bit-identical
+// to the reference and no tail indexes memory by data.
 
 // Assembly routines (kernels_amd64.s). tab points at nibTab[c] (low-nibble
 // products in tab[0:16], high-nibble products in tab[16:32]); n is a
@@ -124,10 +125,7 @@ func avx2MulPass(dst, src []byte, c byte) {
 	if n > 0 {
 		gfMulAVX2(&nibTab[c][0], &dst[0], &src[0], n)
 	}
-	row := &mulTable[c]
-	for i := n; i < len(dst); i++ {
-		dst[i] = row[src[i]]
-	}
+	portableMulPass(dst[n:], src[n:], c)
 }
 
 // avx2AddMulPass accumulates dst[i] ^= c*src[i]; c ∉ {0, 1}.
@@ -138,10 +136,7 @@ func avx2AddMulPass(dst, src []byte, c byte) {
 	if n > 0 {
 		gfAddMulAVX2(&nibTab[c][0], &dst[0], &src[0], n)
 	}
-	row := &mulTable[c]
-	for i := n; i < len(dst); i++ {
-		dst[i] ^= row[src[i]]
-	}
+	portableAddMulPass(dst[n:], src[n:], c)
 }
 
 // avx2XorPass accumulates dst[i] ^= src[i], 32 bytes per VPXOR.
@@ -152,9 +147,7 @@ func avx2XorPass(dst, src []byte) {
 	if n > 0 {
 		gfXorAVX2(&dst[0], &src[0], n)
 	}
-	for i := n; i < len(dst); i++ {
-		dst[i] ^= src[i]
-	}
+	portableXorPass(dst[n:], src[n:])
 }
 
 // avx2MulXorPass computes acc[i] = x*acc[i] ^ coeff[i]; x ≠ 0.
@@ -165,10 +158,7 @@ func avx2MulXorPass(acc, coeff []byte, x byte) {
 	if n > 0 {
 		gfMulXorAVX2(&nibTab[x][0], &acc[0], &coeff[0], n)
 	}
-	row := &mulTable[x]
-	for i := n; i < len(acc); i++ {
-		acc[i] = row[acc[i]] ^ coeff[i]
-	}
+	portableMulXorPass(acc[n:], coeff[n:], x)
 }
 
 // gfniMulPass sets dst[i] = c*src[i]; c ∉ {0, 1}.
@@ -179,10 +169,7 @@ func gfniMulPass(dst, src []byte, c byte) {
 	if n > 0 {
 		gfMulGFNI(c, &dst[0], &src[0], n)
 	}
-	row := &mulTable[c]
-	for i := n; i < len(dst); i++ {
-		dst[i] = row[src[i]]
-	}
+	portableMulPass(dst[n:], src[n:], c)
 }
 
 // gfniAddMulPass accumulates dst[i] ^= c*src[i]; c ∉ {0, 1}.
@@ -193,10 +180,7 @@ func gfniAddMulPass(dst, src []byte, c byte) {
 	if n > 0 {
 		gfAddMulGFNI(c, &dst[0], &src[0], n)
 	}
-	row := &mulTable[c]
-	for i := n; i < len(dst); i++ {
-		dst[i] ^= row[src[i]]
-	}
+	portableAddMulPass(dst[n:], src[n:], c)
 }
 
 // gfniMulXorPass computes acc[i] = x*acc[i] ^ coeff[i]; x ≠ 0.
@@ -207,10 +191,7 @@ func gfniMulXorPass(acc, coeff []byte, x byte) {
 	if n > 0 {
 		gfMulXorGFNI(x, &acc[0], &coeff[0], n)
 	}
-	row := &mulTable[x]
-	for i := n; i < len(acc); i++ {
-		acc[i] = row[acc[i]] ^ coeff[i]
-	}
+	portableMulXorPass(acc[n:], coeff[n:], x)
 }
 
 // gfniHorner is HornerBlock's body on the gfni tier, called directly (a
@@ -225,12 +206,9 @@ func gfniHorner(dst []byte, x byte, blocks [][]byte, lo, hi int) {
 	if n > 0 {
 		gfHornerGFNI(x, &dst[0], &blocks[0], len(blocks), lo, n)
 	}
-	row := &mulTable[x]
-	for i := lo + n; i < hi; i++ {
-		acc := blocks[0][i]
-		for _, c := range blocks[1:] {
-			acc = row[acc] ^ c[i]
-		}
-		dst[i] = acc
+	lo += n
+	copy(dst[lo:hi], blocks[0][lo:hi])
+	for _, c := range blocks[1:] {
+		portableMulXorPass(dst[lo:hi], c[lo:hi], x)
 	}
 }

@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// The kernel differential wall: every compiled kernel (scalar, word, and
-// the platform vector kernel when the machine has it) is pinned against the
+// The kernel differential wall: every compiled kernel (portable, and the
+// platform vector kernels when the machine has them) is pinned against the
 // table-free shift-and-add reference for every multiplier, at lengths and
 // alignments chosen to hit each kernel's edges — the 32-byte vector groups,
-// the 8-byte word steps, and their ragged scalar tails — through sub-slice
-// offsets that deny the kernels any alignment guarantees.
+// the portable kernel's 8-byte words, and the zero-padded remainder word
+// that finishes every ragged tail — through sub-slice offsets that deny the
+// kernels any alignment guarantees.
 
 // diffLengths crosses the 8-byte word stride and the 32-byte vector stride
 // boundaries on both sides, plus MTU-order sizes the protocol actually
@@ -264,13 +265,19 @@ func TestForceKernelErrors(t *testing.T) {
 	if _, err := ForceKernel("no-such-kernel"); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
+	// Names of removed kernels must fail loudly, not fall back silently.
+	for _, gone := range []string{"scalar", "word"} {
+		if _, err := ForceKernel(gone); err == nil {
+			t.Fatalf("removed kernel %q accepted", gone)
+		}
+	}
 	active := KernelName()
-	restore, err := ForceKernel("scalar")
+	restore, err := ForceKernel("portable")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if KernelName() != "scalar" {
-		t.Fatalf("forced scalar, active %s", KernelName())
+	if KernelName() != "portable" {
+		t.Fatalf("forced portable, active %s", KernelName())
 	}
 	restore()
 	if KernelName() != active {
@@ -283,11 +290,6 @@ func TestAllKernelsDoNotAllocate(t *testing.T) {
 	dst := randomBytes(rng, 1400)
 	src := randomBytes(rng, 1400)
 	withKernels(t, func(t *testing.T, name string) {
-		// Warm per-multiplier state (the word kernel builds its wide table
-		// lazily on first use of a multiplier).
-		MulSlice(dst, src, 3)
-		AddMulSlice(dst, src, 3)
-		MulAddSlice(dst, 3, src)
 		for what, f := range map[string]func(){
 			"MulSlice":    func() { MulSlice(dst, src, 3) },
 			"AddMulSlice": func() { AddMulSlice(dst, src, 3) },
@@ -301,6 +303,44 @@ func TestAllKernelsDoNotAllocate(t *testing.T) {
 	})
 }
 
+// TestPortableKernelColdMultiplierNoAlloc pins that a multiplier's first
+// use costs nothing: no kernel builds per-multiplier state, so the very
+// first call with each of 2..255 allocates no more than any later one.
+func TestPortableKernelColdMultiplierNoAlloc(t *testing.T) {
+	restore, err := ForceKernel("portable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restore()
+	rng := rand.New(rand.NewSource(47))
+	dst := randomBytes(rng, 1400)
+	src := randomBytes(rng, 1400)
+	for c := 2; c < 256; c++ {
+		x := byte(c)
+		for _, op := range []struct {
+			what string
+			f    func()
+		}{
+			{"AddMulSlice", func() { AddMulSlice(dst, src, x) }},
+			{"MulSlice", func() { MulSlice(dst, src, x) }},
+			{"MulAddSlice", func() { MulAddSlice(dst, x, src) }},
+		} {
+			// AllocsPerRun makes one uncounted warm-up call first; skip the
+			// work in that one so the counted call is the multiplier's
+			// first use of this entry point.
+			warmedUp := false
+			if avg := testing.AllocsPerRun(1, func() {
+				if warmedUp {
+					op.f()
+				}
+				warmedUp = true
+			}); avg != 0 {
+				t.Fatalf("first %s with c=%#02x allocates %.1f times", op.what, x, avg)
+			}
+		}
+	}
+}
+
 func BenchmarkKernelPass(b *testing.B) {
 	dst := make([]byte, 4096)
 	src := make([]byte, 4096)
@@ -312,7 +352,6 @@ func BenchmarkKernelPass(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		AddMulSlice(dst, src, 7) // warm lazy tables outside the timer
 		b.Run(fmt.Sprintf("addmul-4KiB/%s", name), func(b *testing.B) {
 			b.SetBytes(int64(len(dst)))
 			for i := 0; i < b.N; i++ {

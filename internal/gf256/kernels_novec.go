@@ -4,7 +4,7 @@ package gf256
 
 // Targets without the vector kernels: the table still lists them so
 // selection and ForceKernel treat every platform uniformly, but they never
-// report available, so init falls through to the word-sliced or scalar path.
+// report available, so init falls through to the portable kernel.
 
 var (
 	gfniKernel = kernel{name: "gfni"}

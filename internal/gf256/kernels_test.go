@@ -12,18 +12,6 @@ func randomBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// TestMulTableMatchesScalar cross-checks every row of the kernel table
-// against the scalar Mul.
-func TestMulTableMatchesScalar(t *testing.T) {
-	for c := 0; c < 256; c++ {
-		for a := 0; a < 256; a++ {
-			if got, want := mulTable[c][a], Mul(byte(c), byte(a)); got != want {
-				t.Fatalf("mulTable[%d][%d] = %d, want %d", c, a, got, want)
-			}
-		}
-	}
-}
-
 // TestMulSlice checks MulSlice against scalar Mul over random inputs,
 // including the in-place case and the c=0 and c=1 fast paths.
 func TestMulSlice(t *testing.T) {

@@ -3,7 +3,7 @@ package shamir
 // Differential tests for the cache-tiled split path. The reference below
 // evaluates each secret byte's polynomial independently with the scalar
 // gf256.EvalPoly (log/exp arithmetic, byte-major) — a completely separate
-// code path from the tiled mulTable kernels — and the tests require the
+// code path from the tiled slice kernels — and the tests require the
 // production SplitInto to be byte-for-byte identical to it for every (k, m)
 // up to 8-of-8 and for lengths straddling tile boundaries with odd tails.
 // Bit-identity matters beyond correctness: leakage analyses of Shamir
