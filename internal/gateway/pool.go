@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -43,8 +44,8 @@ type PoolConfig struct {
 // boundaries (remicss.Sender.SendBatch makes that one call per burst).
 type Pool struct {
 	links  []poolSocket
-	queues []sendQueue
-	qlinks []remicss.Link //remicss:secret
+	queues []udptrans.SendQueue //remicss:secret
+	qlinks []remicss.Link       //remicss:secret
 	batch  int
 
 	mu     sync.Mutex
@@ -60,23 +61,6 @@ type poolSocket interface {
 	Writable() bool
 	Backlog() time.Duration
 	Close() error
-}
-
-// sendQueue is one socket's coalescing buffer. The trailing pad keeps
-// neighboring queues' mutexes off one cache line.
-type sendQueue struct {
-	mu sync.Mutex
-	// pending holds datagrams awaiting the next flush; the backing buffers
-	// are pool-owned and recycled through free. guarded by mu.
-	pending [][]byte //remicss:secret
-	// free holds recycled datagram buffers. guarded by mu.
-	free [][]byte //remicss:secret
-	// spare is the idle slice header that becomes pending after a flush
-	// swap, so steady-state flushing reuses two stable backing arrays; it
-	// aliases memory that held datagrams, hence stays in the secret
-	// perimeter. guarded by mu.
-	spare [][]byte //remicss:secret
-	_     [40]byte
 }
 
 // DialPool opens one socket per address (the shared channel set) and
@@ -101,7 +85,7 @@ func DialPool(addrs []string, cfg PoolConfig) (*Pool, error) {
 		}
 		p.links = append(p.links, l)
 	}
-	p.queues = make([]sendQueue, len(addrs))
+	p.queues = make([]udptrans.SendQueue, len(addrs))
 	p.qlinks = make([]remicss.Link, len(addrs))
 	for i := range p.qlinks {
 		p.qlinks[i] = &queueLink{p: p, idx: i}
@@ -129,57 +113,27 @@ func (p *Pool) NewSender(cfg remicss.SenderConfig, id uint64) (*remicss.Sender, 
 // reached the batch threshold. The copy is mandatory: the remicss sender
 // recycles its marshal buffer, so the queue must own the bytes it holds.
 func (p *Pool) enqueue(i int, datagram []byte) bool {
-	q := &p.queues[i]
-	q.mu.Lock()
-	var buf []byte
-	if n := len(q.free); n > 0 {
-		buf = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
+	if burst, _ := p.queues[i].Put(datagram, p.batch, math.MaxInt); burst != nil {
+		p.flushBurst(i, burst)
 	}
-	buf = append(buf[:0], datagram...)
-	q.pending = append(q.pending, buf)
-	if len(q.pending) < p.batch {
-		q.mu.Unlock()
-		return true
-	}
-	burst := q.pending
-	q.pending = q.spare[:0]
-	q.spare = nil
-	q.mu.Unlock()
-	p.flushBurst(i, q, burst)
 	return true
 }
 
 // flushBurst writes one swapped-out burst to socket i and recycles its
-// buffers. Runs outside q.mu so enqueues continue during the writes.
-func (p *Pool) flushBurst(i int, q *sendQueue, burst [][]byte) {
-	if len(burst) == 0 {
-		return
-	}
+// buffers. Runs outside the queue's lock so enqueues continue during the
+// writes.
+func (p *Pool) flushBurst(i int, burst [][]byte) {
 	p.links[i].SendBatch(burst)
-	q.mu.Lock()
-	q.free = append(q.free, burst...)
-	for j := range burst {
-		burst[j] = nil
-	}
-	if q.spare == nil {
-		q.spare = burst[:0]
-	}
-	q.mu.Unlock()
+	p.queues[i].Recycle(burst)
 }
 
 // Flush writes out every queue's pending datagrams regardless of the
 // threshold. Call at burst boundaries.
 func (p *Pool) Flush() {
 	for i := range p.queues {
-		q := &p.queues[i]
-		q.mu.Lock()
-		burst := q.pending
-		q.pending = q.spare[:0]
-		q.spare = nil
-		q.mu.Unlock()
-		p.flushBurst(i, q, burst)
+		if burst := p.queues[i].Take(); burst != nil {
+			p.flushBurst(i, burst)
+		}
 	}
 }
 

@@ -232,15 +232,18 @@ func (sc *mmsgScratch) declineOffload() {
 
 // recvLoop is the RawConn read callback: one recvmmsg pulls up to total
 // messages, returning false on EAGAIN so the poller parks until at least
-// one arrives.
+// one arrives. Only the entry that returns is counted: the EAGAIN entry a
+// reader that keeps pace spends before it parks is not, as the portable
+// tier's Read, which makes the same entry inside the runtime, cannot count
+// it either.
 func (sc *mmsgScratch) recvLoop(fd uintptr) bool {
 	r, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
 		uintptr(unsafe.Pointer(&sc.hdrs[0])), uintptr(sc.total),
 		syscall.MSG_DONTWAIT, 0, 0)
-	sc.calls++
 	if errno == syscall.EAGAIN {
 		return false // wait for readability
 	}
+	sc.calls++
 	if errno != 0 {
 		sc.err = errno
 		return true
@@ -252,8 +255,13 @@ func (sc *mmsgScratch) recvLoop(fd uintptr) bool {
 // mmsgTier builds one of the two tiers over sendmmsg/recvmmsg: with
 // offload, sends segment and receives coalesce.
 func mmsgTier(name string, offload bool, slots int) *netBatcher {
+	var listen func(rc syscall.RawConn)
+	if offload {
+		listen = enableGRO
+	}
 	return &netBatcher{
-		name: name,
+		name:   name,
+		listen: listen,
 		send: func(_ *net.UDPConn, rc syscall.RawConn, plain *atomic.Bool, bufs [][]byte) (int, int, error) {
 			return burstSend(rc, plain, bufs, offload)
 		},
@@ -318,22 +326,24 @@ func burstSend(rc syscall.RawConn, plain *atomic.Bool, bufs [][]byte, segment bo
 	return written, calls, err
 }
 
+// enableGRO asks a socket for UDP_GRO, so the kernel may hand a coalesced
+// run up in one buffer. The request is best effort: a socket that refuses
+// it keeps receiving whole datagrams, reported with segs 0 like any message
+// without the control message.
+func enableGRO(rc syscall.RawConn) {
+	_ = rc.Control(func(fd uintptr) {
+		_ = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
+	})
+}
+
 // burstRecv returns the receive function of one socket: each call pulls up
 // to len(bufs) messages in one kernel entry, blocking via the runtime
 // poller until at least one arrives. The headers belong to that socket's
 // reader for good — loaded once, outside the send path's scratch pool —
-// since a reader spends its life parked in this call. With gro set the
-// socket is asked for UDP_GRO and each slot carries a control buffer, in
-// which the kernel then reports the segment size of a coalesced run. The
-// request is best effort: a socket that refuses it keeps receiving whole
-// datagrams, reported with segs 0 like any message without that control
-// message.
+// since a reader spends its life parked in this call. With gro set each
+// slot carries a control buffer, in which the kernel reports the segment
+// size of a coalesced run on a socket enableGRO has prepared.
 func burstRecv(rc syscall.RawConn, bufs [][]byte, gro bool) recvFunc {
-	if gro {
-		_ = rc.Control(func(fd uintptr) {
-			_ = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
-		})
-	}
 	sc := newMmsgScratch()
 	sc.grow(len(bufs))
 	for i, b := range bufs {

@@ -306,9 +306,12 @@ func (l *Link) wrote(written, calls int, err error) {
 // accounting are SendBatch's (admit, divert, wrote); only the write differs,
 // one datagram straight to the socket with no burst built around it.
 func (l *Link) Send(datagram []byte) bool {
-	if l.admit(1) == 0 {
-		return false
-	}
+	return l.admit(1) != 0 && l.sendOne(datagram)
+}
+
+// sendOne is Send past admission, for a datagram the token bucket has
+// already taken.
+func (l *Link) sendOne(datagram []byte) bool {
 	if l.impair.enabled() && l.divert(datagram) {
 		return true
 	}
@@ -343,7 +346,13 @@ func (l *Link) Send(datagram []byte) bool {
 // (accepted, then "lost on the wire") are included. Like Send, the datagram
 // buffers are not retained after return.
 func (l *Link) SendBatch(datagrams [][]byte) int {
-	direct := datagrams[:l.admit(len(datagrams))]
+	return l.sendAdmitted(datagrams[:l.admit(len(datagrams))])
+}
+
+// sendAdmitted is SendBatch past admission: the impairment, then the batched
+// write, for datagrams the token bucket has already taken (by SendBatch, or
+// one by one as a Coalescer queued them). It returns the accepted count.
+func (l *Link) sendAdmitted(direct [][]byte) int {
 	accepted := 0
 	if l.impair.enabled() {
 		// Emulation only, and a delayed datagram allocates its copy anyway:
@@ -388,7 +397,7 @@ func (l *Link) Close() error {
 
 // Listener receives share datagrams across several UDP sockets (one per
 // channel) and feeds them into a handler directly from the per-socket
-// goroutines: one datagram per kernel entry via ServeConcurrent, or in
+// goroutines: one message per kernel entry via ServeConcurrent, or in
 // kernel batches via ServeBatch.
 type Listener struct {
 	conns []*net.UDPConn
@@ -410,10 +419,11 @@ type Listener struct {
 
 // Instrument registers per-socket receive series on reg —
 // udp_recv_datagrams_total{channel="i"}, udp_recv_bytes_total{channel="i"},
-// and udp_batch_reads_total{channel="i"} (kernel entries spent receiving:
-// one per datagram under ServeConcurrent, fewer under ServeBatch), indexed
-// in Addrs order — and updates them from the reader goroutines. Call before
-// serving starts.
+// and udp_batch_reads_total{channel="i"} (kernel entries spent receiving: at
+// most one per datagram, and fewer wherever one entry returns several — a
+// coalesced run under the "gso" mode through either serving entry point, or
+// up to a batch of messages through ServeBatch), indexed in Addrs order —
+// and updates them from the reader goroutines. Call before serving starts.
 func (l *Listener) Instrument(reg *obs.Registry) {
 	l.metRecv = make([]*obs.Counter, len(l.conns))
 	l.metRecvBytes = make([]*obs.Counter, len(l.conns))
@@ -490,12 +500,16 @@ func (l *Listener) Addrs() []string {
 // remicss.Receiver.HandleDatagram, whose sharded reassembly state lets
 // the per-socket goroutines proceed in parallel (they contend only when
 // datagrams hash to the same shard) — one slow channel then cannot stall
-// ingest from the others. It is ServeBatch's loop at depth one, whatever the
-// batch mode: one 64 KiB buffer per socket, one datagram per kernel entry,
-// no UDP_GRO. Returns immediately; Close stops the readers and waits for
-// them.
+// ingest from the others. It is ServeBatch's loop at depth one, in the
+// active batch mode: one 64 KiB buffer per socket, one message per kernel
+// entry. Under the "gso" mode the sockets ask for UDP_GRO, so that message
+// may be a whole run of datagrams a segmenting sender kept together (see
+// Coalescer), handed to handle one datagram at a time as ServeBatch does;
+// from a sender that does not segment it is one datagram. Delivered
+// datagrams are identical to ServeBatch's. Returns immediately; Close stops
+// the readers and waits for them.
 func (l *Listener) ServeConcurrent(handle func(datagram []byte)) {
-	l.serve(&portableBatcher, handle)
+	l.serve(batcher(), 1, handle)
 }
 
 // recvBatch is how many messages one ServeBatch kernel entry may return
@@ -509,7 +523,9 @@ func (l *Listener) ServeConcurrent(handle func(datagram []byte)) {
 // segment (mmsg, portable, or another host behind a NIC without receive
 // offload) fills one slot per datagram, and the amortisation it gets from
 // this receiver is then the slot count. The portable tier reads one
-// datagram per entry and holds one buffer.
+// datagram per entry and holds one buffer. ServeConcurrent holds one buffer
+// under every tier; under gso that one slot still returns a whole run per
+// entry, which is the amortisation a segmenting facade client gets.
 const recvBatch = 16
 
 // ServeBatch starts one reader goroutine per socket, pulling datagrams in
@@ -528,28 +544,36 @@ const recvBatch = 16
 // them). Delivered datagrams are identical to ServeConcurrent's. Returns
 // immediately; Close stops the readers and waits for them.
 func (l *Listener) ServeBatch(handle func(datagram []byte)) {
-	l.serve(batcher(), handle)
+	nb := batcher()
+	l.serve(nb, nb.slots, handle)
 }
 
 // serve is the listener's one read loop, run by a goroutine per socket over
-// tier's receive function and slot count; a socket without a raw connection
-// reads through the portable tier.
-func (l *Listener) serve(tier *netBatcher, handle func(datagram []byte)) {
+// tier's receive function with the given slot count; a socket without a raw
+// connection reads through the portable tier, one slot. The tier's socket
+// option is set before serve returns, so a datagram sent after that meets
+// the socket as the tier reads it (a run that reaches a socket before
+// UDP_GRO is set arrives cut up); the readers' buffers are allocated in
+// their own goroutines.
+func (l *Listener) serve(tier *netBatcher, slots int, handle func(datagram []byte)) {
 	for i, conn := range l.conns {
-		i, conn, rc, nb := i, conn, l.rcs[i], tier
+		i, conn, rc, nb, slots := i, conn, l.rcs[i], tier, slots
 		if rc == nil {
-			nb = &portableBatcher
+			nb, slots = &portableBatcher, 1
+		}
+		if nb.listen != nil {
+			nb.listen(rc)
 		}
 		l.wg.Add(1)
 		go func() {
 			defer l.wg.Done()
-			bufs := make([][]byte, nb.slots)
+			bufs := make([][]byte, slots)
 			for j := range bufs {
 				bufs[j] = make([]byte, MaxDatagram)
 			}
-			sizes := make([]int, nb.slots)
-			segs := make([]int, nb.slots)
 			recv := nb.newRecv(conn, rc, bufs)
+			sizes := make([]int, slots)
+			segs := make([]int, slots)
 			for {
 				n, calls, err := recv(sizes, segs)
 				if err != nil {

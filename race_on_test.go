@@ -1,0 +1,5 @@
+//go:build race
+
+package remicss_test
+
+const raceEnabled = true
