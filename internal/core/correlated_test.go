@@ -2,10 +2,9 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"time"
-
-	"remicss/internal/stats"
 )
 
 func corrTestSet() Set {
@@ -123,79 +122,146 @@ func TestCorrelatedWorkedExample(t *testing.T) {
 	}
 }
 
-// Cross-check the branch mixture against a brute-force oracle that
-// enumerates shock patterns and then channel outcomes exhaustively.
+// oracleCases are the correlated models the oracle tests cross-check:
+// corrTestSet with both groups live, and a 5-channel set with two live
+// groups and one ungrouped channel. Every factor is positive, on the risk
+// and on the loss side.
+func oracleCases() []struct {
+	set  Set
+	corr Correlation
+} {
+	five := Set{
+		{Risk: 0.10, Loss: 0.01, Delay: 30 * time.Millisecond, Rate: 1000},
+		{Risk: 0.25, Loss: 0.04, Delay: 50 * time.Millisecond, Rate: 800},
+		{Risk: 0.05, Loss: 0.10, Delay: 80 * time.Millisecond, Rate: 500},
+		{Risk: 0.20, Loss: 0.02, Delay: 20 * time.Millisecond, Rate: 900},
+		{Risk: 0.15, Loss: 0.03, Delay: 40 * time.Millisecond, Rate: 700},
+	}
+	return []struct {
+		set  Set
+		corr Correlation
+	}{
+		{corrTestSet(), Correlation{Groups: []RiskGroup{
+			{Mask: 0b011, RiskRho: 0.6, LossRho: 0.7},
+			{Mask: 0b100, RiskRho: 0.9, LossRho: 0.5},
+		}}},
+		{five, Correlation{Groups: []RiskGroup{
+			{Mask: 0b00011, RiskRho: 0.8, LossRho: 0.4},
+			{Mask: 0b01100, RiskRho: 0.3, LossRho: 0.9},
+		}}},
+	}
+}
+
+// Cross-check the risk mixture against the brute-force oracle.
 func TestCorrelatedRiskAgainstOracle(t *testing.T) {
-	set := corrTestSet()
-	corr := Correlation{Groups: []RiskGroup{
-		{Mask: 0b011, RiskRho: 0.6},
-		{Mask: 0b100, RiskRho: 0.9},
-	}}
-	risks := set.Risks()
-	for mask := uint32(1); mask < 1<<uint(len(set)); mask++ {
-		m := len(maskIndices(mask))
-		for k := 1; k <= m; k++ {
-			want := oracleCorrelatedTail(corr, risks, k, mask)
-			got := set.CorrelatedSubsetRisk(corr, k, mask)
-			if math.Abs(got-want) > 1e-12 {
-				t.Errorf("risk(k=%d, mask=%b) = %v, oracle %v", k, mask, got, want)
+	for ci, tc := range oracleCases() {
+		for mask := uint32(1); mask < 1<<uint(len(tc.set)); mask++ {
+			pmf := oracleEventPMF(tc.corr, tc.set.Risks(), riskRho, mask)
+			for k := 1; k < len(pmf); k++ {
+				var want float64
+				for c := k; c < len(pmf); c++ {
+					want += pmf[c]
+				}
+				got := tc.set.CorrelatedSubsetRisk(tc.corr, k, mask)
+				if math.Abs(got-want) > 1e-12 {
+					t.Errorf("case %d risk(k=%d, mask=%b) = %v, oracle %v", ci, k, mask, got, want)
+				}
 			}
 		}
 	}
 }
 
-// oracleCorrelatedTail enumerates every shock pattern and, per branch, every
-// subset of independently-observed channels.
-func oracleCorrelatedTail(corr Correlation, marg []float64, k int, mask uint32) float64 {
-	idx := maskIndices(mask)
-	var live []RiskGroup
-	var qs []float64
-	for _, g := range corr.Groups {
-		if g.Mask&mask == 0 {
-			continue
+// Cross-check the loss mixture against the brute-force oracle: the oracle
+// counts lost shares, so fewer than k deliveries out of m is more than
+// m−k losses.
+func TestCorrelatedLossAgainstOracle(t *testing.T) {
+	for ci, tc := range oracleCases() {
+		for mask := uint32(1); mask < 1<<uint(len(tc.set)); mask++ {
+			pmf := oracleEventPMF(tc.corr, tc.set.Losses(), lossRho, mask)
+			m := len(pmf) - 1
+			for k := 1; k <= m; k++ {
+				var want float64
+				for lost := m - k + 1; lost <= m; lost++ {
+					want += pmf[lost]
+				}
+				got := tc.set.CorrelatedSubsetLoss(tc.corr, k, mask)
+				if math.Abs(got-want) > 1e-12 {
+					t.Errorf("case %d loss(k=%d, mask=%b) = %v, oracle %v", ci, k, mask, got, want)
+				}
+			}
 		}
-		live = append(live, g)
-		qs = append(qs, shockProb(g, g.RiskRho, marg))
 	}
-	var total float64
-	for pattern := uint32(0); pattern < 1<<uint(len(live)); pattern++ {
+}
+
+// Cross-check the observed-count distribution against the brute-force
+// oracle, count by count.
+func TestCorrelatedPMFAgainstOracle(t *testing.T) {
+	for ci, tc := range oracleCases() {
+		for mask := uint32(1); mask < 1<<uint(len(tc.set)); mask++ {
+			want := oracleEventPMF(tc.corr, tc.set.Risks(), riskRho, mask)
+			got := tc.set.CorrelatedObservedPMF(tc.corr, mask)
+			if len(got) != len(want) {
+				t.Fatalf("case %d pmf(mask=%b) has %d entries, oracle %d", ci, mask, len(got), len(want))
+			}
+			for c := range want {
+				if math.Abs(got[c]-want[c]) > 1e-12 {
+					t.Errorf("case %d pmf(mask=%b)[%d] = %v, oracle %v", ci, mask, c, got[c], want[c])
+				}
+			}
+		}
+	}
+}
+
+func riskRho(g RiskGroup) float64 { return g.RiskRho }
+func lossRho(g RiskGroup) float64 { return g.LossRho }
+
+// oracleEventPMF is the brute-force form of the common-cause model: it
+// enumerates every shock pattern of every group and, within each, every
+// outcome of every mask channel, and returns the distribution of the
+// number of mask channels the event (observation, or loss) hits. marg are
+// the marginal event probabilities and rho picks each group's factor. A
+// shocked group's members are hit surely; an unshocked member is hit with
+// its residual probability.
+func oracleEventPMF(corr Correlation, marg []float64, rho func(RiskGroup) float64, mask uint32) []float64 {
+	idx := maskIndices(mask)
+	qs := make([]float64, len(corr.Groups))
+	for gi, g := range corr.Groups {
+		qs[gi] = shockProb(g, rho(g), marg)
+	}
+	pmf := make([]float64, len(idx)+1)
+	for pattern := uint32(0); pattern < 1<<uint(len(corr.Groups)); pattern++ {
 		w := 1.0
-		shocked := uint32(0)
-		for gi := range live {
+		for gi := range corr.Groups {
 			if pattern&(1<<uint(gi)) != 0 {
 				w *= qs[gi]
-				shocked |= live[gi].Mask
 			} else {
 				w *= 1 - qs[gi]
 			}
 		}
-		// Per-channel observation probability inside this branch.
-		probs := make([]float64, len(idx))
+		p := make([]float64, len(idx))
 		for j, ch := range idx {
-			switch {
-			case shocked&(1<<uint(ch)) != 0:
-				probs[j] = 1
-			case corr.GroupOf(ch) >= 0 && live != nil && groupLive(live, ch):
-				gi := liveGroupOf(live, ch)
-				probs[j] = residualProb(marg[ch], qs[gi])
-			default:
-				probs[j] = marg[ch]
+			p[j] = marg[ch]
+			if gi := corr.GroupOf(ch); gi >= 0 {
+				if pattern&(1<<uint(gi)) != 0 {
+					p[j] = 1
+				} else {
+					p[j] = residualProb(marg[ch], qs[gi])
+				}
 			}
 		}
-		total += w * stats.TailAtLeastEnum(probs, k)
-	}
-	return total
-}
-
-func groupLive(live []RiskGroup, ch int) bool { return liveGroupOf(live, ch) >= 0 }
-
-func liveGroupOf(live []RiskGroup, ch int) int {
-	for i, g := range live {
-		if g.Mask&(1<<uint(ch)) != 0 {
-			return i
+		for outcome := uint32(0); outcome < 1<<uint(len(idx)); outcome++ {
+			po := w
+			for j := range idx {
+				if outcome&(1<<uint(j)) != 0 {
+					po *= p[j]
+				} else {
+					po *= 1 - p[j]
+				}
+			}
+			pmf[bits.OnesCount32(outcome)] += po
 		}
 	}
-	return -1
+	return pmf
 }
 
 // GroupExposure is the linear-in-p attribution the LP rows bound; it must
