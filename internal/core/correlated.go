@@ -447,35 +447,17 @@ func (s Set) GroupExposure(corr Correlation, g int, k int, mask uint32) float64 
 // to shared-risk group g: Σ p(k,M) · e_g(k,M). This is the quantity the
 // schedule LP's per-group rows bound.
 func (p Schedule) GroupExposure(s Set, corr Correlation, g int) float64 {
-	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.GroupExposure(corr, g, a.K, a.Mask)
-		}
-	}
-	return sum
+	return p.expect(func(a Assignment) float64 { return s.GroupExposure(corr, g, a.K, a.Mask) })
 }
 
 // CorrelatedRisk returns the schedule risk Z(p) under the correlated model:
 // Σ p(k,M) · z_corr(k,M). Reduces to Risk when the model is independent.
 func (p Schedule) CorrelatedRisk(s Set, corr Correlation) float64 {
-	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.CorrelatedSubsetRisk(corr, a.K, a.Mask)
-		}
-	}
-	return sum
+	return p.expect(func(a Assignment) float64 { return s.CorrelatedSubsetRisk(corr, a.K, a.Mask) })
 }
 
 // CorrelatedLoss returns the schedule loss L(p) under the correlated model:
 // Σ p(k,M) · l_corr(k,M). Reduces to Loss when the model is independent.
 func (p Schedule) CorrelatedLoss(s Set, corr Correlation) float64 {
-	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.CorrelatedSubsetLoss(corr, a.K, a.Mask)
-		}
-	}
-	return sum
+	return p.expect(func(a Assignment) float64 { return s.CorrelatedSubsetLoss(corr, a.K, a.Mask) })
 }

@@ -64,44 +64,36 @@ func (p Schedule) Validate(n int) error {
 // ErrInvalidSchedule marks malformed share schedules.
 var ErrInvalidSchedule = fmt.Errorf("core: invalid share schedule")
 
-// Kappa returns the average threshold κ = Σ p(k,M)·k.
-func (p Schedule) Kappa() float64 {
+// expect returns Σ p(k,M)·f(k,M) over the support. It sums in Support
+// order, so the result does not depend on map iteration order: floating
+// point addition is not associative, and a schedule with three or more
+// entries would otherwise round differently from run to run.
+func (p Schedule) expect(f func(Assignment) float64) float64 {
 	var sum float64
-	for a, prob := range p {
-		sum += prob * float64(a.K)
+	for _, a := range p.Support() {
+		sum += p[a] * f(a)
 	}
 	return sum
+}
+
+// Kappa returns the average threshold κ = Σ p(k,M)·k.
+func (p Schedule) Kappa() float64 {
+	return p.expect(func(a Assignment) float64 { return float64(a.K) })
 }
 
 // Mu returns the average multiplicity μ = Σ p(k,M)·|M|.
 func (p Schedule) Mu() float64 {
-	var sum float64
-	for a, prob := range p {
-		sum += prob * float64(a.M())
-	}
-	return sum
+	return p.expect(func(a Assignment) float64 { return float64(a.M()) })
 }
 
 // Risk returns the schedule risk Z(p) = Σ p(k,M)·z(k,M) over the set.
 func (p Schedule) Risk(s Set) float64 {
-	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.SubsetRisk(a.K, a.Mask)
-		}
-	}
-	return sum
+	return p.expect(func(a Assignment) float64 { return s.SubsetRisk(a.K, a.Mask) })
 }
 
 // Loss returns the schedule loss L(p) = Σ p(k,M)·l(k,M) over the set.
 func (p Schedule) Loss(s Set) float64 {
-	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.SubsetLoss(a.K, a.Mask)
-		}
-	}
-	return sum
+	return p.expect(func(a Assignment) float64 { return s.SubsetLoss(a.K, a.Mask) })
 }
 
 // Delay returns the schedule delay D(p) = Σ p(k,M)·d(k,M) in seconds.
@@ -109,13 +101,7 @@ func (p Schedule) Loss(s Set) float64 {
 // Note this is the unconditional average of the per-assignment conditional
 // delays, matching the paper's definition of D(p).
 func (p Schedule) Delay(s Set) float64 {
-	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.SubsetDelay(a.K, a.Mask)
-		}
-	}
-	return sum
+	return p.expect(func(a Assignment) float64 { return s.SubsetDelay(a.K, a.Mask) })
 }
 
 // ChannelUsage returns, for each channel i, the proportion of symbols whose
@@ -123,9 +109,9 @@ func (p Schedule) Delay(s Set) float64 {
 // constraint of the Section IV-D linear program.
 func (p Schedule) ChannelUsage(n int) []float64 {
 	usage := make([]float64, n)
-	for a, prob := range p {
+	for _, a := range p.Support() {
 		for _, i := range maskIndices(a.Mask) {
-			usage[i] += prob
+			usage[i] += p[a]
 		}
 	}
 	return usage
