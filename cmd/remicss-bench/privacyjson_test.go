@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"remicss/internal/chaos"
@@ -13,7 +16,8 @@ import (
 // the real catalog: every scenario gets a row, the correlated-blackout row
 // carries the model's headline (correlated exposure strictly above the
 // independence assumption, leakage bound strictly above both under λ = 1),
-// and the ungrouped rows stay controlled baselines.
+// and the ungrouped rows stay controlled baselines. The regenerated rows
+// must also match the committed BENCH_privacy.json.
 func TestPrivacyJSONReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_privacy.json")
 	if err := runPrivacyJSON(path); err != nil {
@@ -73,4 +77,61 @@ func TestPrivacyJSONReport(t *testing.T) {
 		t.Errorf("corrblackout correlated exposure %v not strictly above independent %v",
 			corrRow.MeanCorrelatedExposure, corrRow.MeanIndependentExposure)
 	}
+
+	// The model's outputs regenerate: every scenario row equals the
+	// committed one, numbers within 1e-12 relative (other architectures
+	// may fuse multiply-adds).
+	var committed, fresh struct {
+		Scenarios []any `json:"scenarios"`
+	}
+	for file, into := range map[string]any{filepath.Join("..", "..", "BENCH_privacy.json"): &committed, path: &fresh} {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, into); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+	}
+	if diff := jsonDiff("scenarios", committed.Scenarios, fresh.Scenarios, 1e-12); diff != "" {
+		t.Errorf("regenerated BENCH_privacy.json scenarios differ from the committed file: %s", diff)
+	}
+}
+
+// jsonDiff describes a difference between two decoded JSON values,
+// or returns "" when they match: numbers within tol relative, everything
+// else exactly.
+func jsonDiff(at string, want, got any, tol float64) string {
+	switch w := want.(type) {
+	case float64:
+		g, ok := got.(float64)
+		if !ok || math.Abs(g-w) > tol*math.Max(math.Abs(w), math.Abs(g)) {
+			return fmt.Sprintf("%s: committed %v, regenerated %v", at, want, got)
+		}
+	case []any:
+		g, ok := got.([]any)
+		if !ok || len(g) != len(w) {
+			return fmt.Sprintf("%s: committed %v, regenerated %v", at, want, got)
+		}
+		for i := range w {
+			if d := jsonDiff(fmt.Sprintf("%s[%d]", at, i), w[i], g[i], tol); d != "" {
+				return d
+			}
+		}
+	case map[string]any:
+		g, ok := got.(map[string]any)
+		if !ok || len(g) != len(w) {
+			return fmt.Sprintf("%s: committed %v, regenerated %v", at, want, got)
+		}
+		for k := range w {
+			if d := jsonDiff(at+"."+k, w[k], g[k], tol); d != "" {
+				return d
+			}
+		}
+	default:
+		if !reflect.DeepEqual(want, got) {
+			return fmt.Sprintf("%s: committed %v, regenerated %v", at, want, got)
+		}
+	}
+	return ""
 }

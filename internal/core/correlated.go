@@ -169,29 +169,28 @@ func residualProb(p, q float64) float64 {
 	return r
 }
 
-// correlatedTail computes an upper-tail probability P(X >= k) over the
-// channels in mask, where X counts successes under the common-cause mixture:
-// marg are the marginal per-channel success probabilities, rhoOf selects each
-// group's correlation factor. It conditions on every subset of shocked
-// groups intersecting the mask; within each branch the surviving trials are
-// independent with residual probabilities, so the branch tail is the plain
-// Poisson binomial. With every factor zero only the no-shock branch carries
-// mass and the computation is bit-identical to stats.TailAtLeast over marg.
-func (c Correlation) correlatedTail(marg []float64, k int, mask uint32, rhoOf func(RiskGroup) float64) float64 {
-	// Groups that intersect the mask, with their shock probabilities.
+// shockMixture walks the common-cause mixture over the channels in mask:
+// marg are the marginal per-channel event probabilities (risks or losses)
+// and rhoOf selects each group's correlation factor. It conditions on every
+// pattern of shocks among the groups that meet the mask; within a pattern
+// the unshocked channels are independent trials with their residual
+// probabilities. For each pattern of nonzero weight w it calls branch with
+// w, the number of mask channels the shock hits surely, and the residuals
+// of the others in mask order (a slice reused across calls). With every
+// factor zero only the no-shock pattern carries mass, and its residuals are
+// the marginals unchanged — which is what makes every fold over this walk
+// reduce bit-exactly to its independent Poisson-binomial form.
+func (c Correlation) shockMixture(marg []float64, mask uint32, rhoOf func(RiskGroup) float64, branch func(w float64, sure int, residual []float64)) {
+	// Groups that meet the mask, with their shock probabilities.
 	type liveGroup struct {
 		inMask uint32 // member channels inside the mask
 		q      float64
 	}
 	var live []liveGroup
-	grouped := uint32(0) // mask channels covered by some live group
 	for _, g := range c.Groups {
-		in := g.Mask & mask
-		if in == 0 {
-			continue
+		if in := g.Mask & mask; in != 0 {
+			live = append(live, liveGroup{inMask: in, q: shockProb(g, rhoOf(g), marg)})
 		}
-		live = append(live, liveGroup{inMask: in, q: shockProb(g, rhoOf(g), marg)})
-		grouped |= in
 	}
 
 	// Residual probabilities for every mask channel, in mask-local order,
@@ -211,11 +210,7 @@ func (c Correlation) correlatedTail(marg []float64, k int, mask uint32, rhoOf fu
 		}
 	}
 
-	// Mix over the 2^|live| shock patterns. Zero-probability branches are
-	// skipped, so the rho = 0 path evaluates exactly one branch with the
-	// unmodified marginals.
-	var sum float64
-	probs := make([]float64, 0, len(idx))
+	residual := make([]float64, 0, len(idx))
 	for pattern := uint32(0); pattern < 1<<uint(len(live)); pattern++ {
 		w := 1.0
 		for gi, lg := range live {
@@ -228,25 +223,17 @@ func (c Correlation) correlatedTail(marg []float64, k int, mask uint32, rhoOf fu
 		if w == 0 {
 			continue
 		}
-		// Shocked channels succeed surely; the rest keep their residuals.
 		sure := 0
-		probs = probs[:0]
+		residual = residual[:0]
 		for j := range idx {
 			if gi := groupOf[j]; gi >= 0 && pattern&(1<<uint(gi)) != 0 {
 				sure++
 				continue
 			}
-			probs = append(probs, base[j])
+			residual = append(residual, base[j])
 		}
-		sum += w * stats.TailAtLeast(probs, k-sure)
+		branch(w, sure, residual)
 	}
-	if sum < 0 {
-		return 0
-	}
-	if sum > 1 {
-		return 1
-	}
-	return sum
 }
 
 // CorrelatedSubsetRisk computes the correlated z(k, M): the probability that
@@ -258,7 +245,14 @@ func (c Correlation) correlatedTail(marg []float64, k int, mask uint32, rhoOf fu
 func (s Set) CorrelatedSubsetRisk(corr Correlation, k int, mask uint32) float64 {
 	probs := s.maskValues(mask, s.Risks()) // validates the mask against the set
 	checkSubsetParams(k, len(probs))
-	return corr.correlatedTail(s.Risks(), k, mask, func(g RiskGroup) float64 { return g.RiskRho })
+	// A shocked member is observed surely, so each branch needs k − sure
+	// of its residual trials.
+	var sum float64
+	corr.shockMixture(s.Risks(), mask, func(g RiskGroup) float64 { return g.RiskRho },
+		func(w float64, sure int, residual []float64) {
+			sum += w * stats.TailAtLeast(residual, k-sure)
+		})
+	return math.Min(math.Max(sum, 0), 1) // rounding can step outside [0, 1]
 }
 
 // CorrelatedSubsetLoss computes the correlated l(k, M): the probability that
@@ -268,76 +262,20 @@ func (s Set) CorrelatedSubsetRisk(corr Correlation, k int, mask uint32) float64 
 func (s Set) CorrelatedSubsetLoss(corr Correlation, k int, mask uint32) float64 {
 	deliver := s.maskValues(mask, invertProbs(s.Losses()))
 	checkSubsetParams(k, len(deliver))
-	// Mix over loss shocks: a shocked group delivers nothing, so delivery
-	// tails condition on "sure failures" rather than sure successes. Reuse
-	// the success-side machinery by counting deliveries with shocked
-	// channels forced to zero.
-	return corr.correlatedLossTail(s.Losses(), k, mask)
-}
-
-// correlatedLossTail computes P(fewer than k deliveries) under loss shocks:
-// a shocked group's channels deliver with probability zero, unshocked
-// channels deliver with residual probability (1-l_i')/(the marginal-
-// preserving residual of the loss side).
-func (c Correlation) correlatedLossTail(losses []float64, k int, mask uint32) float64 {
-	type liveGroup struct {
-		inMask uint32
-		q      float64
-	}
-	var live []liveGroup
-	for _, g := range c.Groups {
-		in := g.Mask & mask
-		if in == 0 {
-			continue
-		}
-		live = append(live, liveGroup{inMask: in, q: shockProb(g, g.LossRho, losses)})
-	}
-
-	idx := maskIndices(mask)
-	deliver := make([]float64, len(idx))
-	groupOf := make([]int, len(idx))
-	for j, ch := range idx {
-		deliver[j] = 1 - losses[ch]
-		groupOf[j] = -1
-		for gi, lg := range live {
-			if lg.inMask&(1<<uint(ch)) != 0 {
-				groupOf[j] = gi
-				deliver[j] = 1 - residualProb(losses[ch], lg.q)
-				break
-			}
-		}
-	}
-
+	// The mixture runs over loss shocks: a shocked member delivers nothing,
+	// and the rest deliver with the complement of their residual loss.
+	// TailLess over deliveries is the independent form's expression, and
+	// keeps the all-zero model bit-identical to SubsetLoss.
 	var sum float64
-	probs := make([]float64, 0, len(idx))
-	for pattern := uint32(0); pattern < 1<<uint(len(live)); pattern++ {
-		w := 1.0
-		for gi, lg := range live {
-			if pattern&(1<<uint(gi)) != 0 {
-				w *= lg.q
-			} else {
-				w *= 1 - lg.q
+	corr.shockMixture(s.Losses(), mask, func(g RiskGroup) float64 { return g.LossRho },
+		func(w float64, _ int, residual []float64) {
+			deliver = deliver[:0]
+			for _, l := range residual {
+				deliver = append(deliver, 1-l)
 			}
-		}
-		if w == 0 {
-			continue
-		}
-		probs = probs[:0]
-		for j := range idx {
-			if gi := groupOf[j]; gi >= 0 && pattern&(1<<uint(gi)) != 0 {
-				continue // shocked: the share is lost with certainty
-			}
-			probs = append(probs, deliver[j])
-		}
-		sum += w * stats.TailLess(probs, k)
-	}
-	if sum < 0 {
-		return 0
-	}
-	if sum > 1 {
-		return 1
-	}
-	return sum
+			sum += w * stats.TailLess(deliver, k)
+		})
+	return math.Min(math.Max(sum, 0), 1) // rounding can step outside [0, 1]
 }
 
 // CorrelatedObservedPMF returns the probability mass function of the number
@@ -348,66 +286,13 @@ func (c Correlation) correlatedLossTail(losses []float64, k int, mask uint32) fl
 // bound adversary advantage. With an all-zero model it equals the
 // independent Poisson-binomial pmf.
 func (s Set) CorrelatedObservedPMF(corr Correlation, mask uint32) []float64 {
-	probs := s.maskValues(mask, s.Risks())
-	m := len(probs)
-
-	type liveGroup struct {
-		inMask uint32
-		q      float64
-	}
-	var live []liveGroup
-	marg := s.Risks()
-	for _, g := range corr.Groups {
-		in := g.Mask & mask
-		if in == 0 {
-			continue
-		}
-		live = append(live, liveGroup{inMask: in, q: shockProb(g, g.RiskRho, marg)})
-	}
-
-	idx := maskIndices(mask)
-	base := make([]float64, len(idx))
-	groupOf := make([]int, len(idx))
-	for j, ch := range idx {
-		base[j] = marg[ch]
-		groupOf[j] = -1
-		for gi, lg := range live {
-			if lg.inMask&(1<<uint(ch)) != 0 {
-				groupOf[j] = gi
-				base[j] = residualProb(marg[ch], lg.q)
-				break
+	out := make([]float64, len(s.maskValues(mask, s.Risks()))+1)
+	corr.shockMixture(s.Risks(), mask, func(g RiskGroup) float64 { return g.RiskRho },
+		func(w float64, sure int, residual []float64) {
+			for c, p := range stats.Distribution(residual) {
+				out[c+sure] += w * p
 			}
-		}
-	}
-
-	out := make([]float64, m+1)
-	branch := make([]float64, 0, m)
-	for pattern := uint32(0); pattern < 1<<uint(len(live)); pattern++ {
-		w := 1.0
-		for gi, lg := range live {
-			if pattern&(1<<uint(gi)) != 0 {
-				w *= lg.q
-			} else {
-				w *= 1 - lg.q
-			}
-		}
-		if w == 0 {
-			continue
-		}
-		sure := 0
-		branch = branch[:0]
-		for j := range idx {
-			if gi := groupOf[j]; gi >= 0 && pattern&(1<<uint(gi)) != 0 {
-				sure++
-				continue
-			}
-			branch = append(branch, base[j])
-		}
-		pmf := stats.Distribution(branch)
-		for c, p := range pmf {
-			out[c+sure] += w * p
-		}
-	}
+		})
 	return out
 }
 

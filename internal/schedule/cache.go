@@ -41,16 +41,6 @@ func (t SolveTier) String() string {
 	}
 }
 
-// programKind distinguishes the two LP shapes a Cache serves; it is part of
-// the cache key.
-type programKind uint8
-
-const (
-	programSectionIVB programKind = iota + 1
-	programMaxRate
-	programLarge
-)
-
 // CacheConfig tunes a schedule Cache. The zero value selects the documented
 // defaults.
 type CacheConfig struct {
@@ -173,7 +163,8 @@ func NewCache(cfg CacheConfig) *Cache {
 // program for the channel state quantized to the cache's grid, returning
 // the schedule and the tier that produced it.
 func (c *Cache) Optimize(s core.Set, kappa, mu float64, obj Objective) (core.Schedule, SolveTier, error) {
-	return c.resolve(programSectionIVB, s, core.Correlation{}, kappa, mu, obj)
+	sched, _, tier, err := c.resolve(programSectionIVB, s, core.Correlation{}, kappa, mu, obj)
+	return sched, tier, err
 }
 
 // OptimizeCorrelated is Optimize under a correlated-adversary model: the
@@ -184,20 +175,37 @@ func (c *Cache) Optimize(s core.Set, kappa, mu float64, obj Objective) (core.Sch
 // hit while a genuine regime change re-solves (warm-started, like any other
 // miss). An empty model is exactly Optimize and shares its cache entries.
 func (c *Cache) OptimizeCorrelated(s core.Set, corr core.Correlation, kappa, mu float64, obj Objective) (core.Schedule, SolveTier, error) {
-	return c.resolve(programSectionIVB, s, corr, kappa, mu, obj)
+	sched, _, tier, err := c.resolve(programSectionIVB, s, corr, kappa, mu, obj)
+	return sched, tier, err
 }
 
 // OptimizeAtMaxRate is the cached form of OptimizeAtMaxRate (the Section
 // IV-D program). It shares the table and retained solver with Optimize;
 // the program shape is part of the cache key.
 func (c *Cache) OptimizeAtMaxRate(s core.Set, kappa, mu float64, obj Objective) (core.Schedule, SolveTier, error) {
-	return c.resolve(programMaxRate, s, core.Correlation{}, kappa, mu, obj)
+	sched, _, tier, err := c.resolve(programMaxRate, s, core.Correlation{}, kappa, mu, obj)
+	return sched, tier, err
 }
 
-func (c *Cache) resolve(kind programKind, s core.Set, corr core.Correlation, kappa, mu float64, obj Objective) (core.Schedule, SolveTier, error) {
+// OptimizeLarge is the cached form of OptimizeLarge: the wide-assignment
+// Section IV-B program for channel sets beyond the exact-enumeration cap,
+// with the optimum compacted onto its support. The compacted schedule and
+// its member mapping are cached together; like the mask programs, misses
+// warm-start the retained solver (the wide program's constraint rows depend
+// only on the generated candidate structure, so a risk drift that leaves
+// the candidates unchanged re-solves from the prior vertex).
+func (c *Cache) OptimizeLarge(s core.Set, kappa, mu float64, obj Objective) (core.Schedule, []int, SolveTier, error) {
+	return c.resolve(programLarge, s, core.Correlation{}, kappa, mu, obj)
+}
+
+// resolve is every entry point's one path: a lock-free lookup, then under
+// c.mu a second lookup, the build on the quantized state, a warm-started
+// solve, the decode, and the insert. members is the wide program's support
+// mapping, nil for the mask programs.
+func (c *Cache) resolve(kind programKind, s core.Set, corr core.Correlation, kappa, mu float64, obj Objective) (core.Schedule, []int, SolveTier, error) {
 	if e, ok := c.lookup(kind, s, corr, kappa, mu, obj); ok {
 		c.emit(TierCached)
-		return e.sched, TierCached, nil
+		return e.sched, e.members, TierCached, nil
 	}
 
 	c.mu.Lock()
@@ -205,7 +213,7 @@ func (c *Cache) resolve(kind programKind, s core.Set, corr core.Correlation, kap
 	// Another goroutine may have resolved this state while we waited.
 	if e, ok := c.lookup(kind, s, corr, kappa, mu, obj); ok {
 		c.emit(TierCached)
-		return e.sched, TierCached, nil
+		return e.sched, e.members, TierCached, nil
 	}
 	if c.misses != nil {
 		c.misses.Inc()
@@ -220,72 +228,20 @@ func (c *Cache) resolve(kind programKind, s core.Set, corr core.Correlation, kap
 	if len(qc.Groups) > 0 {
 		opts.Correlation = &qc
 	}
-	var (
-		prob        lp.Problem
-		assignments []core.Assignment
-		err         error
-	)
-	switch kind {
-	case programSectionIVB:
-		prob, assignments, err = buildSectionIVB(qs, kappa, mu, obj, opts)
-	case programMaxRate:
-		prob, assignments, err = buildMaxRate(qs, kappa, mu, obj, opts)
-	}
-	if err != nil {
-		return nil, TierCold, err
-	}
-	sol, tier, err := c.warmSolve(prob)
-	if err != nil {
-		return nil, TierCold, err
-	}
-	sched, err := solutionToSchedule(sol, assignments, qs.N())
-	if err != nil {
-		return nil, tier, err
-	}
-
-	c.insert(kind, qs, qc, kappa, mu, obj, sched, nil)
-	c.emit(tier)
-	return sched, tier, nil
-}
-
-// OptimizeLarge is the cached form of OptimizeLarge: the wide-assignment
-// Section IV-B program for channel sets beyond the exact-enumeration cap,
-// with the optimum compacted onto its support. The compacted schedule and
-// its member mapping are cached together; like the mask programs, misses
-// warm-start the retained solver (the wide program's constraint rows depend
-// only on the generated candidate structure, so a risk drift that leaves
-// the candidates unchanged re-solves from the prior vertex).
-func (c *Cache) OptimizeLarge(s core.Set, kappa, mu float64, obj Objective) (core.Schedule, []int, SolveTier, error) {
-	if e, ok := c.lookup(programLarge, s, core.Correlation{}, kappa, mu, obj); ok {
-		c.emit(TierCached)
-		return e.sched, e.members, TierCached, nil
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.lookup(programLarge, s, core.Correlation{}, kappa, mu, obj); ok {
-		c.emit(TierCached)
-		return e.sched, e.members, TierCached, nil
-	}
-	if c.misses != nil {
-		c.misses.Inc()
-	}
-
-	qs := c.quantizeSet(s)
-	prob, assignments, err := buildLarge(qs, kappa, mu, obj, c.cfg.Options)
+	p, err := build(kind, qs, kappa, mu, obj, opts)
 	if err != nil {
 		return nil, nil, TierCold, err
 	}
-	sol, tier, err := c.warmSolve(prob)
+	sol, tier, err := c.warmSolve(p.prob)
 	if err != nil {
 		return nil, nil, TierCold, err
 	}
-	sched, members, err := compactWideSolution(sol.X, assignments)
+	sched, members, err := p.decode(sol)
 	if err != nil {
 		return nil, nil, tier, err
 	}
 
-	c.insert(programLarge, qs, core.Correlation{}, kappa, mu, obj, sched, members)
+	c.insert(kind, qs, qc, kappa, mu, obj, sched, members)
 	c.emit(tier)
 	return sched, members, tier, nil
 }

@@ -20,16 +20,12 @@ import (
 // selects channel members[i] of s. The compacted support is guaranteed to
 // stay within mask range for practical µ; in the degenerate case where the
 // solution's support unions to more than 32 channels an error is returned.
+//
+// The wide program models independent channels only: an Options.Correlation
+// with groups, or a positive GroupExposureCap, is refused with an error
+// wrapping core.ErrInvalidCorrelation.
 func OptimizeLarge(s core.Set, kappa, mu float64, obj Objective, opts Options) (core.Schedule, []int, error) {
-	prob, assignments, err := buildLarge(s, kappa, mu, obj, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	sol, err := lp.Solve(prob)
-	if err != nil {
-		return nil, nil, wrapLPError(err)
-	}
-	return compactWideSolution(sol.X, assignments)
+	return solve(programLarge, s, kappa, mu, obj, opts)
 }
 
 // Program materializes the LP behind Optimize — or behind OptimizeLarge
@@ -38,64 +34,30 @@ func OptimizeLarge(s core.Set, kappa, mu float64, obj Objective, opts Options) (
 // cmd/remicss-bench's -schedule-json mode measures the cold two-phase
 // simplex against warm-started re-solves of the program returned here.
 func Program(s core.Set, kappa, mu float64, obj Objective, opts Options) (lp.Problem, error) {
+	// Beyond the mask cap (or with an invalid channel, which the wide
+	// program rejects with the same error) the wide-assignment program
+	// applies.
+	kind := programLarge
 	if s.Validate() == nil {
-		prob, _, err := buildSectionIVB(s, kappa, mu, obj, opts)
-		return prob, err
+		kind = programSectionIVB
 	}
-	// Beyond the mask cap (or with an invalid channel, which buildLarge
-	// rejects with the same error) the wide-assignment program applies.
-	prob, _, err := buildLarge(s, kappa, mu, obj, opts)
-	return prob, err
+	p, err := build(kind, s, kappa, mu, obj, opts)
+	return p.prob, err
 }
 
-// buildLarge constructs the wide-assignment Section IV-B program: the same
-// three rows as buildSectionIVB, with the choice set generated rather than
-// enumerated and costs computed from member lists instead of masks. The
-// solve layer is the caller's choice.
-func buildLarge(s core.Set, kappa, mu float64, obj Objective, opts Options) (lp.Problem, []core.WideAssignment, error) {
-	if len(s) == 0 {
-		return lp.Problem{}, nil, fmt.Errorf("%w: empty channel set", core.ErrInvalidChannel)
+// membersCost is the objective cost of one wide assignment, computed from
+// its member list.
+func membersCost(s core.Set, a core.WideAssignment, obj Objective) float64 {
+	switch obj {
+	case ObjectiveRisk:
+		return s.MembersRisk(a.K, a.Members)
+	case ObjectiveLoss:
+		return s.MembersLoss(a.K, a.Members)
+	case ObjectiveDelay:
+		return s.MembersDelay(a.K, a.Members)
+	default:
+		panic(fmt.Sprintf("schedule: unknown objective %d", int(obj)))
 	}
-	for i, c := range s {
-		if err := c.Validate(); err != nil {
-			return lp.Problem{}, nil, fmt.Errorf("channel %d: %w", i, err)
-		}
-	}
-	if err := s.CheckParams(kappa, mu); err != nil {
-		return lp.Problem{}, nil, err
-	}
-
-	var cfg core.GenConfig
-	if opts.Generate != nil {
-		cfg = *opts.Generate
-	}
-	assignments := core.GenerateWideAssignments(s, kappa, mu, opts.Limited, cfg)
-	if len(assignments) == 0 {
-		return lp.Problem{}, nil, fmt.Errorf("%w: empty choice set", ErrInfeasible)
-	}
-
-	nv := len(assignments)
-	prob := lp.Problem{
-		C: make([]float64, nv),
-		A: [][]float64{make([]float64, nv), make([]float64, nv), make([]float64, nv)},
-		B: []float64{1, kappa, mu},
-	}
-	for j, a := range assignments {
-		switch obj {
-		case ObjectiveRisk:
-			prob.C[j] = s.MembersRisk(a.K, a.Members)
-		case ObjectiveLoss:
-			prob.C[j] = s.MembersLoss(a.K, a.Members)
-		case ObjectiveDelay:
-			prob.C[j] = s.MembersDelay(a.K, a.Members)
-		default:
-			panic(fmt.Sprintf("schedule: unknown objective %d", int(obj)))
-		}
-		prob.A[0][j] = 1
-		prob.A[1][j] = float64(a.K)
-		prob.A[2][j] = float64(a.M())
-	}
-	return prob, assignments, nil
 }
 
 // compactWideSolution maps the positive entries of a wide LP solution onto

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -150,6 +151,43 @@ func TestOptimizeLargeMatchesOptimizeOnSmallSets(t *testing.T) {
 	}
 	if !almostEqual(large.Loss(sub), gen.Loss(s), 1e-9) {
 		t.Fatalf("OptimizeLarge loss %v != generated Optimize loss %v", large.Loss(sub), gen.Loss(s))
+	}
+}
+
+// The wide program has neither correlated costs nor group-exposure rows,
+// so it must refuse a model with shared-risk groups, or a positive cap,
+// instead of returning a schedule that ignores them. The set is one where
+// the capped Section IV-B program is infeasible: the schedule the wide
+// program returned without the check, {(2, {0, 1, 3}): 1}, carries a
+// group exposure of 0.09, nine times the cap.
+func TestOptimizeLargeRefusesCorrelation(t *testing.T) {
+	s := core.Set{
+		{Risk: 0.1, Loss: 0.01, Delay: 10 * time.Millisecond, Rate: 100},
+		{Risk: 0.1, Loss: 0.01, Delay: 10 * time.Millisecond, Rate: 100},
+		{Risk: 0.3, Loss: 0.01, Delay: 10 * time.Millisecond, Rate: 100},
+		{Risk: 0.2, Loss: 0.01, Delay: 10 * time.Millisecond, Rate: 100},
+	}
+	corr := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011, RiskRho: 0.9}}}
+	capped := Options{Correlation: &corr, GroupExposureCap: 0.01}
+	if _, err := Optimize(s, 2, 3, ObjectiveRisk, capped); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("Optimize under the cap: err %v, want ErrInfeasible", err)
+	}
+	for name, opts := range map[string]Options{
+		"groups and cap": capped,
+		"groups only":    {Correlation: &corr},
+		"cap only":       {GroupExposureCap: 0.01},
+	} {
+		if sched, members, err := OptimizeLarge(s, 2, 3, ObjectiveRisk, opts); !errors.Is(err, core.ErrInvalidCorrelation) {
+			t.Errorf("%s: OptimizeLarge = %v over %v, err %v; want core.ErrInvalidCorrelation", name, sched, members, err)
+		}
+		c := NewCache(CacheConfig{Options: opts})
+		if _, _, _, err := c.OptimizeLarge(s, 2, 3, ObjectiveRisk); !errors.Is(err, core.ErrInvalidCorrelation) {
+			t.Errorf("%s: Cache.OptimizeLarge err %v, want core.ErrInvalidCorrelation", name, err)
+		}
+	}
+	// A model without groups is the independent model, and stays accepted.
+	if _, _, err := OptimizeLarge(s, 2, 3, ObjectiveRisk, Options{Correlation: &core.Correlation{}}); err != nil {
+		t.Fatalf("empty model: %v", err)
 	}
 }
 

@@ -101,11 +101,19 @@ const probabilityFloor = 1e-9
 // minimizing the chosen objective with average threshold kappa and average
 // multiplicity mu over the set.
 func Optimize(s core.Set, kappa, mu float64, obj Objective, opts Options) (core.Schedule, error) {
-	sol, assignments, err := solveSectionIVB(s, kappa, mu, obj, opts)
-	if err != nil {
-		return nil, err
-	}
-	return solutionToSchedule(sol, assignments, s.N())
+	sched, _, err := solve(programSectionIVB, s, kappa, mu, obj, opts)
+	return sched, err
+}
+
+// OptimizeAtMaxRate solves the Section IV-D linear program: minimize the
+// chosen objective subject to κ and to the per-channel utilization
+// constraints Σ_{(k,M): i∈M} p(k,M) = min{r_i/R_C, 1}, which force the
+// schedule to be capable of the optimal rate R_C for μ. The μ constraint is
+// implied by the utilization constraints (their sum is μ by Theorem 3), as
+// in the paper's program.
+func OptimizeAtMaxRate(s core.Set, kappa, mu float64, obj Objective, opts Options) (core.Schedule, error) {
+	sched, _, err := solve(programMaxRate, s, kappa, mu, obj, opts)
+	return sched, err
 }
 
 // Sensitivity reports the shadow prices of the parameter constraints of the
@@ -114,79 +122,155 @@ func Optimize(s core.Set, kappa, mu float64, obj Objective, opts Options) (core.
 // dKappa is the (negative) "price of privacy" — how much schedule risk one
 // more unit of average threshold buys.
 func Sensitivity(s core.Set, kappa, mu float64, obj Objective, opts Options) (dKappa, dMu float64, err error) {
-	sol, _, err := solveSectionIVB(s, kappa, mu, obj, opts)
+	p, err := build(programSectionIVB, s, kappa, mu, obj, opts)
 	if err != nil {
 		return 0, 0, err
+	}
+	sol, err := lp.Solve(p.prob)
+	if err != nil {
+		return 0, 0, wrapLPError(err)
 	}
 	// Constraint order: Σp=1, κ, μ.
 	return sol.Duals[1], sol.Duals[2], nil
 }
 
-// solveSectionIVB builds and solves the Section IV-B program with a
-// one-shot solver.
-func solveSectionIVB(s core.Set, kappa, mu float64, obj Objective, opts Options) (lp.Solution, []core.Assignment, error) {
-	prob, assignments, err := buildSectionIVB(s, kappa, mu, obj, opts)
+// solve builds one program, solves it with a one-shot solver, and decodes
+// the optimum.
+func solve(kind programKind, s core.Set, kappa, mu float64, obj Objective, opts Options) (core.Schedule, []int, error) {
+	p, err := build(kind, s, kappa, mu, obj, opts)
 	if err != nil {
-		return lp.Solution{}, nil, err
+		return nil, nil, err
 	}
-	sol, err := lp.Solve(prob)
+	sol, err := lp.Solve(p.prob)
 	if err != nil {
-		return lp.Solution{}, nil, wrapLPError(err)
+		return nil, nil, wrapLPError(err)
 	}
-	return sol, assignments, nil
+	return p.decode(sol)
 }
 
-// buildSectionIVB constructs the Section IV-B program: minimize the
-// objective over the choice set subject to Σp = 1, Σp·k = κ, Σp·|M| = μ.
-// The solve layer (one-shot, warm-started, or cached) is the caller's
-// choice.
-func buildSectionIVB(s core.Set, kappa, mu float64, obj Objective, opts Options) (lp.Problem, []core.Assignment, error) {
-	if err := s.Validate(); err != nil {
-		return lp.Problem{}, nil, err
+// programKind names the three schedule programs. It selects the builder's
+// choice set and constraint rows, and is part of the Cache key.
+type programKind uint8
+
+const (
+	// programSectionIVB is the Section IV-B program over masks.
+	programSectionIVB programKind = iota + 1
+	// programMaxRate is the Section IV-D program: per-channel utilization
+	// rows in place of the μ row.
+	programMaxRate
+	// programLarge is the Section IV-B program over generated wide
+	// assignments, for sets beyond the mask range.
+	programLarge
+)
+
+// program is one built schedule LP together with the choice set its
+// columns stand for: mask assignments, or for the wide program member-list
+// assignments. Any columns past the choice set are group-exposure slacks.
+type program struct {
+	prob  lp.Problem
+	n     int
+	masks []core.Assignment
+	wide  []core.WideAssignment
+}
+
+// decode maps an optimal solution onto its schedule. A wide solution is
+// compacted onto its support, and members lists the original channel each
+// local index refers to; members is nil for the mask programs.
+func (p program) decode(sol lp.Solution) (core.Schedule, []int, error) {
+	if p.wide != nil {
+		return compactWideSolution(sol.X, p.wide)
 	}
-	if err := s.CheckParams(kappa, mu); err != nil {
-		return lp.Problem{}, nil, err
+	sched, err := solutionToSchedule(sol, p.masks, p.n)
+	return sched, nil, err
+}
+
+// build constructs one schedule program: minimize the objective over the
+// choice set subject to Σp = 1, Σp·k = κ, and the kind's third row family —
+// Σp·|M| = μ, or for Section IV-D one utilization row per channel — followed
+// by the group-exposure rows when the options call for them. The solve
+// layer (one-shot, warm-started, or cached) is the caller's choice.
+func build(kind programKind, s core.Set, kappa, mu float64, obj Objective, opts Options) (program, error) {
+	if err := validate(kind, s, kappa, mu, opts); err != nil {
+		return program{}, err
 	}
-	if err := validateCorrelation(s, opts); err != nil {
-		return lp.Problem{}, nil, err
-	}
-	assignments := enumerate(s, kappa, mu, opts)
-	if len(assignments) == 0 {
-		return lp.Problem{}, nil, fmt.Errorf("%w: empty choice set", ErrInfeasible)
+	var targets []float64
+	if kind == programMaxRate {
+		var err error
+		if targets, err = s.UtilizationTargets(mu); err != nil {
+			return program{}, err
+		}
 	}
 
-	nv := len(assignments)
-	prob := lp.Problem{
-		C: objectiveCoefficients(s, assignments, obj, opts.Correlation),
-		A: make([][]float64, 0, 3),
-		B: make([]float64, 0, 3),
+	// The choice set, with each column's threshold, multiplicity and cost.
+	p := program{n: s.N()}
+	var ks, ms, costs []float64
+	if kind == programLarge {
+		p.wide = core.GenerateWideAssignments(s, kappa, mu, opts.Limited, genConfig(opts))
+		for _, a := range p.wide {
+			ks, ms = append(ks, float64(a.K)), append(ms, float64(a.M()))
+			costs = append(costs, membersCost(s, a, obj))
+		}
+	} else {
+		p.masks = enumerate(s, kappa, mu, opts)
+		for _, a := range p.masks {
+			ks, ms = append(ks, float64(a.K)), append(ms, float64(a.M()))
+		}
+		costs = objectiveCoefficients(s, p.masks, obj, opts.Correlation)
 	}
-	// Σ p = 1.
+	nv := len(ks)
+	if nv == 0 {
+		return program{}, fmt.Errorf("%w: empty choice set", ErrInfeasible)
+	}
+
 	ones := make([]float64, nv)
 	for j := range ones {
 		ones[j] = 1
 	}
-	prob.A, prob.B = append(prob.A, ones), append(prob.B, 1)
-	// Σ p·k = κ.
-	ks := make([]float64, nv)
-	for j, a := range assignments {
-		ks[j] = float64(a.K)
+	p.prob = lp.Problem{C: costs, A: [][]float64{ones, ks}, B: []float64{1, kappa}}
+	if kind == programMaxRate {
+		for i, target := range targets {
+			row := make([]float64, nv)
+			for j, a := range p.masks {
+				if a.Mask&(1<<uint(i)) != 0 {
+					row[j] = 1
+				}
+			}
+			p.prob.A, p.prob.B = append(p.prob.A, row), append(p.prob.B, target)
+		}
+	} else {
+		p.prob.A, p.prob.B = append(p.prob.A, ms), append(p.prob.B, mu)
 	}
-	prob.A, prob.B = append(prob.A, ks), append(prob.B, kappa)
-	// Σ p·|M| = μ.
-	ms := make([]float64, nv)
-	for j, a := range assignments {
-		ms[j] = float64(a.M())
-	}
-	prob.A, prob.B = append(prob.A, ms), append(prob.B, mu)
 	if opts.correlationRows() {
-		prob = addGroupExposureRows(prob, s, assignments, *opts.Correlation, opts.GroupExposureCap)
+		p.prob = addGroupExposureRows(p.prob, s, p.masks, *opts.Correlation, opts.GroupExposureCap)
 	}
-	return prob, assignments, nil
+	return p, nil
 }
 
-// validateCorrelation checks Options.Correlation against the set.
-func validateCorrelation(s core.Set, opts Options) error {
+// validate checks a program's inputs. The mask programs need a set within
+// the mask range; the wide program checks each channel on its own, and
+// refuses a correlation model it would otherwise ignore: its costs are
+// independent and it has no group-exposure rows.
+func validate(kind programKind, s core.Set, kappa, mu float64, opts Options) error {
+	if kind != programLarge {
+		if err := s.Validate(); err != nil {
+			return err
+		}
+	} else {
+		if len(s) == 0 {
+			return fmt.Errorf("%w: empty channel set", core.ErrInvalidChannel)
+		}
+		for i, c := range s {
+			if err := c.Validate(); err != nil {
+				return fmt.Errorf("channel %d: %w", i, err)
+			}
+		}
+	}
+	if err := s.CheckParams(kappa, mu); err != nil {
+		return err
+	}
+	if kind == programLarge && (opts.GroupExposureCap > 0 || opts.Correlation != nil && len(opts.Correlation.Groups) > 0) {
+		return fmt.Errorf("%w: the wide program models no shared-risk groups", core.ErrInvalidCorrelation)
+	}
 	if opts.Correlation == nil {
 		return nil
 	}
@@ -233,84 +317,13 @@ func wrapLPError(err error) error {
 	return fmt.Errorf("schedule: %w", err)
 }
 
-// OptimizeAtMaxRate solves the Section IV-D linear program: minimize the
-// chosen objective subject to κ and to the per-channel utilization
-// constraints Σ_{(k,M): i∈M} p(k,M) = min{r_i/R_C, 1}, which force the
-// schedule to be capable of the optimal rate R_C for μ. The μ constraint is
-// implied by the utilization constraints (their sum is μ by Theorem 3), as
-// in the paper's program.
-func OptimizeAtMaxRate(s core.Set, kappa, mu float64, obj Objective, opts Options) (core.Schedule, error) {
-	prob, assignments, err := buildMaxRate(s, kappa, mu, obj, opts)
-	if err != nil {
-		return nil, err
-	}
-	return solveToSchedule(prob, assignments, s.N())
-}
-
-// buildMaxRate constructs the Section IV-D program (the Section IV-B
-// objective and normalization plus per-channel utilization constraints).
-func buildMaxRate(s core.Set, kappa, mu float64, obj Objective, opts Options) (lp.Problem, []core.Assignment, error) {
-	if err := s.Validate(); err != nil {
-		return lp.Problem{}, nil, err
-	}
-	if err := s.CheckParams(kappa, mu); err != nil {
-		return lp.Problem{}, nil, err
-	}
-	if err := validateCorrelation(s, opts); err != nil {
-		return lp.Problem{}, nil, err
-	}
-	targets, err := s.UtilizationTargets(mu)
-	if err != nil {
-		return lp.Problem{}, nil, err
-	}
-	assignments := enumerate(s, kappa, mu, opts)
-	if len(assignments) == 0 {
-		return lp.Problem{}, nil, fmt.Errorf("%w: empty choice set", ErrInfeasible)
-	}
-
-	nv := len(assignments)
-	n := s.N()
-	prob := lp.Problem{
-		C: objectiveCoefficients(s, assignments, obj, opts.Correlation),
-		A: make([][]float64, 0, 2+n),
-		B: make([]float64, 0, 2+n),
-	}
-	ones := make([]float64, nv)
-	for j := range ones {
-		ones[j] = 1
-	}
-	prob.A, prob.B = append(prob.A, ones), append(prob.B, 1)
-	ks := make([]float64, nv)
-	for j, a := range assignments {
-		ks[j] = float64(a.K)
-	}
-	prob.A, prob.B = append(prob.A, ks), append(prob.B, kappa)
-	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
-		for j, a := range assignments {
-			if a.Mask&(1<<uint(i)) != 0 {
-				row[j] = 1
-			}
-		}
-		prob.A, prob.B = append(prob.A, row), append(prob.B, targets[i])
-	}
-	if opts.correlationRows() {
-		prob = addGroupExposureRows(prob, s, assignments, *opts.Correlation, opts.GroupExposureCap)
-	}
-	return prob, assignments, nil
-}
-
 // enumerate produces the choice set: exhaustively for small sets, by
 // sampled/pruned generation for large ones or when Options.Generate forces
 // it.
 func enumerate(s core.Set, kappa, mu float64, opts Options) []core.Assignment {
 	n := s.N()
 	if opts.Generate != nil || n > exactEnumerationLimit {
-		var cfg core.GenConfig
-		if opts.Generate != nil {
-			cfg = *opts.Generate
-		}
-		return core.GenerateAssignments(s, kappa, mu, opts.Limited, cfg)
+		return core.GenerateAssignments(s, kappa, mu, opts.Limited, genConfig(opts))
 	}
 	if opts.Limited {
 		return core.EnumerateLimitedAssignments(n, kappa, mu)
@@ -349,12 +362,13 @@ func objectiveCoefficients(s core.Set, assignments []core.Assignment, obj Object
 	return c
 }
 
-func solveToSchedule(prob lp.Problem, assignments []core.Assignment, n int) (core.Schedule, error) {
-	sol, err := lp.Solve(prob)
-	if err != nil {
-		return nil, wrapLPError(err)
+// genConfig returns the generation configuration the options force, or
+// the zero value for the documented defaults.
+func genConfig(opts Options) core.GenConfig {
+	if opts.Generate != nil {
+		return *opts.Generate
 	}
-	return solutionToSchedule(sol, assignments, n)
+	return core.GenConfig{}
 }
 
 // solutionToSchedule converts an LP solution vector into a validated

@@ -125,7 +125,10 @@ type ScheduleGenConfig = core.GenConfig
 // optimum is approximate — within the bound documented in DESIGN §11 of the
 // exhaustive optimum where both are computable. The returned schedule is
 // compacted onto the channels its support uses; members maps its local
-// indices back to ascending indices into set.
+// indices back to ascending indices into set. The program models
+// independent channels only: opts with a Correlation that has groups, or a
+// positive GroupExposureCap, is refused with an error wrapping
+// ErrInvalidCorrelation.
 func OptimizeScheduleLarge(set ChannelSet, kappa, mu float64, obj Objective, opts ScheduleOptions) (sched Schedule, members []int, err error) {
 	return schedule.OptimizeLarge(set, kappa, mu, obj, opts)
 }
