@@ -30,10 +30,10 @@ func main() {
 
 	var mu sync.Mutex
 	var out bytes.Buffer
-	gaps := 0
+	var gaps uint64
 	orderer, err := remicss.NewStreamOrderer(512,
 		func(_ uint64, p []byte) { out.Write(p) },
-		func(uint64) { gaps++ })
+		func(_, n uint64) { gaps += n })
 	if err != nil {
 		log.Fatal(err)
 	}

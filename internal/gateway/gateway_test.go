@@ -94,7 +94,7 @@ func TestDispatchRouting(t *testing.T) {
 	// are counted, not delivered.
 	s.Dispatch(marshalSession(t, 12345, []byte("nobody")))
 	s.Dispatch([]byte("not a remicss datagram"))
-	v1, err := wire.Marshal(wire.SharePacket{Seq: 1, K: 2, M: 3, Index: 1, SentAt: 1, Payload: []byte("v1")})
+	v1, err := wire.AppendMarshal(nil, wire.SharePacket{Seq: 1, K: 2, M: 3, Index: 1, SentAt: 1, Payload: []byte("v1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDispatchRouting(t *testing.T) {
 func TestDispatchSessionless(t *testing.T) {
 	var legacy int
 	s := NewServer(ServerConfig{Shards: 4, Sessionless: func([]byte) { legacy++ }})
-	v1, err := wire.Marshal(wire.SharePacket{Seq: 1, K: 2, M: 3, Index: 1, SentAt: 1, Payload: []byte("v1")})
+	v1, err := wire.AppendMarshal(nil, wire.SharePacket{Seq: 1, K: 2, M: 3, Index: 1, SentAt: 1, Payload: []byte("v1")})
 	if err != nil {
 		t.Fatal(err)
 	}

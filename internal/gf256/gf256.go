@@ -13,9 +13,8 @@
 //   - Mul, Div, Inv, Exp, Log, Pow, EvalPoly and Interpolate are lookups in
 //     the discrete log/exp tables (generator 0x03) with zero checks, so
 //     their cache footprint depends on their operands. They are meant for
-//     public operands: x-coordinates and Lagrange weights. internal/blakley's
-//     Gaussian elimination is the one caller that still feeds them secret
-//     data.
+//     public operands: x-coordinates and Lagrange weights. No caller feeds
+//     them secret data.
 //
 // This package is the arithmetic substrate for the Shamir threshold scheme
 // in internal/shamir: secrets and shares are processed byte-by-byte, with

@@ -11,7 +11,6 @@ func DefaultAnalyzers(modulePath string) []*Analyzer {
 		modulePath + "/internal/remicss": true,
 		modulePath + "/internal/shamir":  true,
 		modulePath + "/internal/sharing": true,
-		modulePath + "/internal/blakley": true,
 		modulePath + "/internal/drbg":    true,
 		modulePath + "/internal/wire":    true,
 	}

@@ -8,9 +8,8 @@ import (
 )
 
 // InsecureRandAnalyzer enforces the secrecy boundary around randomness.
-// Shamir coefficients, XOR pads, and Blakley hyperplanes are only
-// information-theoretically hiding when drawn from uniform cryptographic
-// randomness, so:
+// Shamir coefficients and XOR pads are only information-theoretically
+// hiding when drawn from uniform cryptographic randomness, so:
 //
 //  1. Packages in secretPkgs (the share-generating and wire layers) must
 //     not import math/rand or math/rand/v2 at all.

@@ -15,15 +15,12 @@
 //     paths (max-flow with unit edge capacities).
 //   - Channel composes a path's edge properties into the model's quadruple:
 //     risk and loss compound across edges, delay adds, rate bottlenecks.
-//   - OverlapRisk quantifies the privacy penalty of non-disjoint channel
-//     sets, the effect the paper's disjointness assumption avoids.
 package pathset
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"remicss/internal/core"
@@ -92,29 +89,9 @@ func NewGraph(edges []Edge) (*Graph, error) {
 	return g, nil
 }
 
-// Nodes returns the node identifiers, sorted.
-func (g *Graph) Nodes() []string {
-	seen := make(map[string]bool)
-	for _, e := range g.edges {
-		seen[e.From] = true
-		seen[e.To] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Edges returns a copy of the edge list.
-func (g *Graph) Edges() []Edge {
-	return append([]Edge(nil), g.edges...)
-}
-
 // Path is a sequence of edge indices from sender to receiver.
 type Path struct {
-	// EdgeIndices index into the graph's Edges(), in path order.
+	// EdgeIndices index into the graph's edge list, in path order.
 	EdgeIndices []int
 	graph       *Graph
 }
@@ -166,8 +143,7 @@ func (p Path) Channel() core.Channel {
 // from src to dst using BFS augmentation over unit edge capacities
 // (Edmonds–Karp on the unit-capacity graph). Paths are returned in
 // discovery order; each is simple with respect to edges but may share
-// nodes, matching the PSMT edge-disjointness notion. Use NodeDisjoint to
-// additionally enforce interior-node disjointness.
+// nodes, matching the PSMT edge-disjointness notion.
 func (g *Graph) DisjointPaths(src, dst string) ([]Path, error) {
 	if src == dst {
 		return nil, fmt.Errorf("%w: src == dst", ErrBadGraph)
@@ -278,32 +254,6 @@ func (g *Graph) decompose(src, dst string, used []bool) ([]Path, error) {
 	return paths, nil
 }
 
-// NodeDisjoint filters paths to a set that shares no interior nodes,
-// greedily keeping earlier paths. Endpoint nodes are exempt.
-func NodeDisjoint(paths []Path) []Path {
-	usedNodes := make(map[string]bool)
-	var out []Path
-	for _, p := range paths {
-		nodes := p.Nodes()
-		interior := nodes[1 : len(nodes)-1]
-		conflict := false
-		for _, n := range interior {
-			if usedNodes[n] {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
-			continue
-		}
-		for _, n := range interior {
-			usedNodes[n] = true
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
 // ChannelSet converts paths into the model's channel set, in path order.
 func ChannelSet(paths []Path) core.Set {
 	set := make(core.Set, len(paths))
@@ -311,32 +261,4 @@ func ChannelSet(paths []Path) core.Set {
 		set[i] = p.Channel()
 	}
 	return set
-}
-
-// OverlapRisk quantifies the paper's disjointness argument. Given paths
-// that may share edges, it returns the probability that an adversary who
-// taps the single highest-value edge observes at least k shares of a
-// symbol sent with one share per path, compared with the best the
-// adversary can do against edge-disjoint paths (where one tap yields one
-// share, so the probability of k >= 2 shares from one tap is zero).
-func OverlapRisk(paths []Path, k int) float64 {
-	if k < 1 {
-		return 1
-	}
-	// Count path multiplicity per edge.
-	count := make(map[int]int)
-	for _, p := range paths {
-		for _, idx := range p.EdgeIndices {
-			count[idx]++
-		}
-	}
-	worst := 0.0
-	for idx, c := range count {
-		if c >= k {
-			if z := paths[0].graph.edges[idx].Risk; z > worst {
-				worst = z
-			}
-		}
-	}
-	return worst
 }

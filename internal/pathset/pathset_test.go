@@ -128,6 +128,26 @@ func TestParallelEdgesAreDistinctChannels(t *testing.T) {
 	if len(paths) != 3 {
 		t.Fatalf("found %d paths, want 3 parallel channels", len(paths))
 	}
+
+	// Edge-disjoint paths may share an interior node: two parallel edge
+	// pairs through m give two paths, and the route via x a third.
+	g, err = NewGraph([]Edge{
+		{From: "s", To: "m", Risk: 0.1, Rate: 1},
+		{From: "m", To: "t", Risk: 0.1, Rate: 1},
+		{From: "s", To: "m", Risk: 0.1, Rate: 1},
+		{From: "m", To: "t", Risk: 0.1, Rate: 1},
+		{From: "s", To: "x", Risk: 0.1, Rate: 1},
+		{From: "x", To: "t", Risk: 0.1, Rate: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if paths, err = g.DisjointPaths("s", "t"); err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 3 {
+		t.Fatalf("found %d paths through a shared node, want 3", len(paths))
+	}
 }
 
 func TestNoPath(t *testing.T) {
@@ -164,107 +184,6 @@ func TestGraphValidation(t *testing.T) {
 	}
 	if _, err := NewGraph(nil); !errors.Is(err, ErrBadGraph) {
 		t.Error("empty graph accepted")
-	}
-}
-
-func TestNodeDisjointFiltering(t *testing.T) {
-	// Two edge-disjoint paths sharing interior node m, plus one through a
-	// distinct node.
-	edges := []Edge{
-		{From: "s", To: "m", Risk: 0.1, Rate: 1},
-		{From: "m", To: "t", Risk: 0.1, Rate: 1},
-		{From: "s", To: "m", Risk: 0.1, Rate: 1},
-		{From: "m", To: "t", Risk: 0.1, Rate: 1},
-		{From: "s", To: "x", Risk: 0.1, Rate: 1},
-		{From: "x", To: "t", Risk: 0.1, Rate: 1},
-	}
-	g, err := NewGraph(edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := g.DisjointPaths("s", "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 3 {
-		t.Fatalf("edge-disjoint paths = %d, want 3", len(paths))
-	}
-	nd := NodeDisjoint(paths)
-	if len(nd) != 2 {
-		t.Fatalf("node-disjoint paths = %d, want 2 (one via m, one via x)", len(nd))
-	}
-	usedM := 0
-	for _, p := range nd {
-		for _, n := range p.Nodes() {
-			if n == "m" {
-				usedM++
-			}
-		}
-	}
-	if usedM > 1 {
-		t.Errorf("node m appears in %d node-disjoint paths", usedM)
-	}
-}
-
-// TestOverlapRiskSharedEdge demonstrates the Section III-B argument: a
-// shared edge lets one tap collect multiple shares.
-func TestOverlapRiskSharedEdge(t *testing.T) {
-	// Both "paths" traverse the same first hop s->r (risk 0.5).
-	edges := []Edge{
-		{From: "s", To: "r", Risk: 0.5, Rate: 10},
-		{From: "r", To: "t", Risk: 0.1, Rate: 10},
-		{From: "r", To: "t", Risk: 0.1, Rate: 10},
-	}
-	g, err := NewGraph(edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := []Path{
-		{EdgeIndices: []int{0, 1}, graph: g},
-		{EdgeIndices: []int{0, 2}, graph: g},
-	}
-	// With k=2 and disjoint paths, one tap can never yield 2 shares.
-	if got := OverlapRisk(shared, 2); got != 0.5 {
-		t.Errorf("overlap risk = %v, want 0.5 (tap the shared edge)", got)
-	}
-	// Disjoint paths: zero.
-	disjoint, err := NewGraph([]Edge{
-		{From: "s", To: "t", Risk: 0.5, Rate: 1},
-		{From: "s", To: "t", Risk: 0.5, Rate: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp, err := disjoint.DisjointPaths("s", "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := OverlapRisk(dp, 2); got != 0 {
-		t.Errorf("disjoint overlap risk = %v, want 0", got)
-	}
-	// k=1 is trivially 1 (any tap yields one share).
-	if got := OverlapRisk(dp, 0); got != 1 {
-		t.Errorf("k=0 overlap risk = %v, want 1", got)
-	}
-}
-
-func TestNodesAndEdgesAccessors(t *testing.T) {
-	g, err := NewGraph(diamond())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := g.Nodes()
-	want := []string{"a", "b", "s", "t"}
-	if len(nodes) != len(want) {
-		t.Fatalf("nodes = %v", nodes)
-	}
-	for i := range want {
-		if nodes[i] != want[i] {
-			t.Errorf("nodes[%d] = %q, want %q", i, nodes[i], want[i])
-		}
-	}
-	if len(g.Edges()) != 4 {
-		t.Errorf("edges = %d", len(g.Edges()))
 	}
 }
 

@@ -137,7 +137,7 @@ func TestReceiverHandlesReorderedShares(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sh := range shares {
-			buf, err := wire.Marshal(wire.SharePacket{
+			buf, err := wire.AppendMarshal(nil, wire.SharePacket{
 				Seq: seq, K: 2, M: 3, Index: uint8(sh.Index), Payload: sh.Data,
 			})
 			if err != nil {

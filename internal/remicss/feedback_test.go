@@ -53,7 +53,7 @@ func TestReceiverMakeReportDeltas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf, err := wire.Marshal(wire.SharePacket{
+		buf, err := wire.AppendMarshal(nil, wire.SharePacket{
 			Seq: seq, K: 1, M: 1, Index: 0, Payload: shares[0].Data,
 		})
 		if err != nil {

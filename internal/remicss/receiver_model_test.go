@@ -273,7 +273,7 @@ func runReceiverScript(t *testing.T, prog []byte) ReceiverStats {
 		}
 		for _, sh := range shares {
 			pkt := wire.SharePacket{Seq: seq, K: uint8(k), M: uint8(m), Index: uint8(sh.Index), Payload: sh.Data}
-			d, err := wire.Marshal(pkt)
+			d, err := wire.AppendMarshal(nil, pkt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,7 +327,7 @@ func runReceiverScript(t *testing.T, prog []byte) ReceiverStats {
 			default:
 				pkt.M--
 			}
-			dgram, err = wire.Marshal(pkt)
+			dgram, err = wire.AppendMarshal(nil, pkt)
 			if err != nil {
 				continue // the damaged header is not even marshalable (k = 0, index ≥ m)
 			}

@@ -326,7 +326,7 @@ func TestReceiverDuplicateAndLateShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(i int) []byte {
-		buf, err := wire.Marshal(wire.SharePacket{
+		buf, err := wire.AppendMarshal(nil, wire.SharePacket{
 			Seq: 7, K: 2, M: 3, Index: uint8(shares[i].Index), Payload: shares[i].Data,
 		})
 		if err != nil {
@@ -371,7 +371,7 @@ func TestReceiverRejectsCorruptAndInconsistent(t *testing.T) {
 	// width: the wire format admits it, no sender can produce it. It must
 	// not open an entry, where the second copy would pass the duplicate
 	// check and close the symbol with a failed combine.
-	wide, err := wire.Marshal(wire.SharePacket{Seq: 2, K: 2, M: 41, Index: 40, Payload: []byte{5, 6}})
+	wide, err := wire.AppendMarshal(nil, wire.SharePacket{Seq: 2, K: 2, M: 41, Index: 40, Payload: []byte{5, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,11 +384,11 @@ func TestReceiverRejectsCorruptAndInconsistent(t *testing.T) {
 		t.Errorf("pending = %d, want 0: a wide share opened an entry", got)
 	}
 	// Two shares of the same seq disagreeing on (k, m).
-	b1, err := wire.Marshal(wire.SharePacket{Seq: 1, K: 2, M: 3, Index: 0, Payload: []byte{1, 2}})
+	b1, err := wire.AppendMarshal(nil, wire.SharePacket{Seq: 1, K: 2, M: 3, Index: 0, Payload: []byte{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := wire.Marshal(wire.SharePacket{Seq: 1, K: 3, M: 4, Index: 1, Payload: []byte{3, 4}})
+	b2, err := wire.AppendMarshal(nil, wire.SharePacket{Seq: 1, K: 3, M: 4, Index: 1, Payload: []byte{3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestReceiverTimeoutEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := wire.Marshal(wire.SharePacket{
+	buf, err := wire.AppendMarshal(nil, wire.SharePacket{
 		Seq: 1, K: 2, M: 3, Index: uint8(shares[0].Index), Payload: shares[0].Data,
 	})
 	if err != nil {
@@ -449,7 +449,7 @@ func TestReceiverMemoryPressureEviction(t *testing.T) {
 	}
 	// 20 partial symbols: only the newest 10 survive.
 	for seq := uint64(0); seq < 20; seq++ {
-		buf, err := wire.Marshal(wire.SharePacket{Seq: seq, K: 2, M: 2, Index: 0, Payload: []byte{1}})
+		buf, err := wire.AppendMarshal(nil, wire.SharePacket{Seq: seq, K: 2, M: 2, Index: 0, Payload: []byte{1}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,9 +17,6 @@ func BenchmarkEndToEndSchemes(b *testing.B) {
 	schemes := map[string]func() sharing.Scheme{
 		"auto":   func() sharing.Scheme { return sharing.NewAuto(rand.New(rand.NewSource(1))) },
 		"shamir": func() sharing.Scheme { return sharing.NewShamir(rand.New(rand.NewSource(1))) },
-		"blakley": func() sharing.Scheme {
-			return sharing.NewBlakley(rand.New(rand.NewSource(1)))
-		},
 		"authenticated-shamir": func() sharing.Scheme {
 			a, err := sharing.NewAuthenticated(sharing.NewShamir(rand.New(rand.NewSource(1))), []byte("bench key"))
 			if err != nil {

@@ -180,6 +180,9 @@ func (m Model) Simulate(length int, rng *rand.Rand) (states, obs []int, err erro
 	if rng == nil {
 		return nil, nil, errors.New("risk: nil rng")
 	}
+	if length < 0 {
+		return nil, nil, errors.New("risk: length must be non-negative")
+	}
 	states = make([]int, length)
 	obs = make([]int, length)
 	state := sample(m.Initial[:], rng)

@@ -224,6 +224,14 @@ func TestSimulateValidation(t *testing.T) {
 	if _, _, err := bad.Simulate(10, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBadModel) {
 		t.Errorf("got %v, want ErrBadModel", err)
 	}
+	// A negative length is an error, not a makeslice panic, on both the
+	// single and the per-channel route.
+	if _, _, err := m.Simulate(-1, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("Simulate accepted length -1")
+	}
+	if _, err := m.SimulateSet(2, -3, 1); err == nil {
+		t.Error("SimulateSet accepted length -3")
+	}
 }
 
 func TestRiskEmptyObservationUsesValidatedPrior(t *testing.T) {

@@ -38,7 +38,6 @@ func FuzzSplitCombine(f *testing.F) {
 			NewShamir(newReader("shamir")),
 			NewXOR(newReader("xor")),
 			Replication{},
-			NewBlakley(newReader("blakley")),
 			authed,
 			NewAuto(newReader("auto")),
 		}

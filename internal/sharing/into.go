@@ -14,8 +14,8 @@ import (
 // IntoScheme is the allocation-aware extension of Scheme: the same
 // operations writing into caller-provided storage so a steady-state sender
 // or receiver can cycle one set of buffers instead of allocating per symbol.
-// Every scheme in this package implements it, and (Blakley apart) their
-// Split and Combine are these methods called with nil storage; SplitInto
+// Every scheme in this package implements it, and their Split and Combine
+// are these methods called with nil storage; SplitInto
 // and CombineInto (package-level) adapt any remaining Scheme by falling
 // back to the allocating methods.
 type IntoScheme interface {
@@ -34,7 +34,6 @@ var (
 	_ IntoScheme = (*Shamir)(nil)
 	_ IntoScheme = (*XOR)(nil)
 	_ IntoScheme = Replication{}
-	_ IntoScheme = (*Blakley)(nil)
 	_ IntoScheme = (*Authenticated)(nil)
 	_ IntoScheme = (*Auto)(nil)
 )
@@ -267,33 +266,6 @@ func (r Replication) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, 
 	dst = growBytes(dst, len(shares[0].Data))
 	copy(dst, shares[0].Data)
 	return dst, nil
-}
-
-// SplitSharesInto implements IntoScheme by reusing the share Data buffers
-// around the inner hyperplane splitter, which still allocates internally
-// (Blakley redraws and verifies coefficient sets; it is not a hot-path
-// scheme).
-func (b *Blakley) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error) {
-	raw, err := b.Split(secret, k, m)
-	if err != nil {
-		return nil, err
-	}
-	shares = growShares(shares, m)
-	for i := range shares {
-		shares[i].Index = i
-		shares[i].Data = append(shares[i].Data[:0], raw[i].Data...)
-	}
-	return shares, nil
-}
-
-// CombineInto implements IntoScheme; reconstruction goes through the
-// allocating inner Combine and lands in dst.
-func (b *Blakley) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error) {
-	secret, err := b.Combine(shares, k, m)
-	if err != nil {
-		return nil, err
-	}
-	return append(growBytes(dst, 0), secret...), nil
 }
 
 // SplitSharesInto implements IntoScheme: the inner scheme splits into the

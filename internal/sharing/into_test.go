@@ -20,7 +20,6 @@ func intoSchemes(t testing.TB) map[string]IntoScheme {
 		"shamir":        NewShamir(rand.New(rand.NewSource(1))),
 		"xor":           NewXOR(rand.New(rand.NewSource(2))),
 		"replication":   Replication{},
-		"blakley":       NewBlakley(rand.New(rand.NewSource(4))),
 		"authenticated": auth,
 		"auto":          NewAuto(rand.New(rand.NewSource(5))),
 	}

@@ -16,6 +16,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Writer chunks written bytes into protocol symbols. It implements
@@ -80,7 +81,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 // declared lost (onGap) and delivery resumes past it.
 type Orderer struct {
 	deliver func(seq uint64, payload []byte)
-	onGap   func(seq uint64)
+	onGap   func(first, n uint64)
 	window  int
 
 	next    uint64
@@ -103,8 +104,9 @@ type OrdererStats struct {
 
 // NewOrderer builds an orderer delivering in-order from sequence 0. window
 // bounds the number of buffered out-of-order symbols before the oldest gap
-// is skipped; onGap may be nil.
-func NewOrderer(window int, deliver func(seq uint64, payload []byte), onGap func(seq uint64)) (*Orderer, error) {
+// is skipped. onGap, which may be nil, is called once per skipped gap with
+// its first sequence number and its length.
+func NewOrderer(window int, deliver func(seq uint64, payload []byte), onGap func(first, n uint64)) (*Orderer, error) {
 	if deliver == nil {
 		return nil, errors.New("stream: nil deliver function")
 	}
@@ -178,13 +180,22 @@ func (o *Orderer) drain() {
 	}
 }
 
-// skipOldestGap declares the current head-of-line sequence lost and resumes
-// delivery from the next buffered symbol run.
+// skipOldestGap declares the head-of-line gap lost in one step, however
+// long it is, and resumes delivery from the smallest buffered sequence
+// number. pending never holds next (drain would have delivered it), so the
+// caller's non-empty pending makes the gap at least one long.
 func (o *Orderer) skipOldestGap() {
-	if o.onGap != nil {
-		o.onGap(o.next)
+	lowest := ^uint64(0)
+	for seq := range o.pending {
+		lowest = min(lowest, seq)
 	}
-	o.skipped++
-	o.next++
+	n := lowest - o.next
+	if o.onGap != nil {
+		o.onGap(o.next, n)
+	}
+	// A forged or restarted sequence number can open a gap of 2^63 or
+	// more; the count saturates rather than wrapping negative.
+	o.skipped += int64(min(n, math.MaxInt64-uint64(o.skipped)))
+	o.next = lowest
 	o.drain()
 }

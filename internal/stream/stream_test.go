@@ -3,9 +3,11 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestWriterChunksExactly(t *testing.T) {
@@ -124,9 +126,9 @@ func TestOrdererReordersWithinWindow(t *testing.T) {
 
 func TestOrdererSkipsPersistentGap(t *testing.T) {
 	var got []uint64
-	var gaps []uint64
+	var gaps [][2]uint64
 	o, err := NewOrderer(4, func(seq uint64, _ []byte) { got = append(got, seq) },
-		func(seq uint64) { gaps = append(gaps, seq) })
+		func(first, n uint64) { gaps = append(gaps, [2]uint64{first, n}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +136,8 @@ func TestOrdererSkipsPersistentGap(t *testing.T) {
 	for seq := uint64(1); seq <= 6; seq++ {
 		o.Push(seq, nil)
 	}
-	if len(gaps) != 1 || gaps[0] != 0 {
-		t.Fatalf("gaps = %v, want [0]", gaps)
+	if len(gaps) != 1 || gaps[0] != [2]uint64{0, 1} {
+		t.Fatalf("gaps = %v, want [[0 1]]", gaps)
 	}
 	if len(got) == 0 || got[0] != 1 {
 		t.Fatalf("delivery after skip = %v", got)
@@ -147,7 +149,9 @@ func TestOrdererSkipsPersistentGap(t *testing.T) {
 
 func TestOrdererWideGap(t *testing.T) {
 	var got []uint64
-	o, err := NewOrderer(2, func(seq uint64, _ []byte) { got = append(got, seq) }, nil)
+	var gaps [][2]uint64
+	o, err := NewOrderer(2, func(seq uint64, _ []byte) { got = append(got, seq) },
+		func(first, n uint64) { gaps = append(gaps, [2]uint64{first, n}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +164,49 @@ func TestOrdererWideGap(t *testing.T) {
 	}
 	if st := o.Stats(); st.Skipped != 3 {
 		t.Errorf("skipped = %d, want 3", st.Skipped)
+	}
+	// One gap, reported once with its length.
+	if len(gaps) != 1 || gaps[0] != [2]uint64{0, 3} {
+		t.Errorf("gaps = %v, want [[0 3]]", gaps)
+	}
+}
+
+// TestOrdererHugeGapOneStep pins the cost of a gap to its count, not its
+// length: a jump of 2^40 (a sender restarting at another first sequence
+// number, or a forged symbol) is skipped at once.
+func TestOrdererHugeGapOneStep(t *testing.T) {
+	const jump = uint64(1) << 40
+	var got []uint64
+	calls := 0
+	o, err := NewOrderer(1, func(seq uint64, _ []byte) { got = append(got, seq) },
+		func(first, n uint64) {
+			calls++
+			if first != 0 || n != jump {
+				t.Errorf("onGap(%d, %d), want (0, %d)", first, n, jump)
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	o.Push(jump, nil)
+	o.Push(jump+1, nil)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("skipping a 2^40 gap took %v", elapsed)
+	}
+	if st := o.Stats(); st.Skipped != int64(jump) || st.Delivered != 2 {
+		t.Errorf("stats = %+v, want Skipped %d, Delivered 2", st, jump)
+	}
+	if calls != 1 || len(got) != 2 || got[0] != jump || got[1] != jump+1 {
+		t.Errorf("onGap calls = %d, delivered %v", calls, got)
+	}
+
+	// A gap past 2^63 saturates the count instead of wrapping it negative.
+	o.onGap = nil
+	o.Push(math.MaxUint64-1, nil)
+	o.Flush()
+	if st := o.Stats(); st.Skipped != math.MaxInt64 {
+		t.Errorf("skipped after a 2^64 jump = %d, want %d", st.Skipped, int64(math.MaxInt64))
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 
 // TestAppendMarshalReusesBuffer checks steady-state reuse: marshaling into
 // a recycled zero-length slice of sufficient capacity allocates nothing and
-// produces the same bytes as Marshal.
+// produces the same bytes as marshaling onto nil.
 func TestAppendMarshalReusesBuffer(t *testing.T) {
 	pkt := SharePacket{Seq: 7, K: 2, M: 3, Index: 2, SentAt: 99, Payload: bytes.Repeat([]byte{0xab}, 1400)}
-	want, err := Marshal(pkt)
+	want, err := AppendMarshal(nil, pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestAppendMarshalReusesBuffer(t *testing.T) {
 		t.Error("AppendMarshal did not reuse the provided buffer")
 	}
 	if !bytes.Equal(buf, want) {
-		t.Error("AppendMarshal output differs from Marshal")
+		t.Error("AppendMarshal into a recycled buffer differs from onto nil")
 	}
 }
 
@@ -38,7 +38,7 @@ func TestAppendMarshalReusesBuffer(t *testing.T) {
 // garbage where the CRC field lands still marshals correctly.
 func TestAppendMarshalStaleChecksumField(t *testing.T) {
 	pkt := SharePacket{Seq: 1, K: 1, M: 1, Index: 0, SentAt: 5, Payload: []byte("x")}
-	want, err := Marshal(pkt)
+	want, err := AppendMarshal(nil, pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestAppendMarshalStaleChecksumField(t *testing.T) {
 // TestUnmarshalDoesNotMutateInput pins the read-only contract: checksum
 // verification must not patch bytes 24:28, valid or not.
 func TestUnmarshalDoesNotMutateInput(t *testing.T) {
-	good, err := Marshal(SharePacket{Seq: 2, K: 2, M: 2, Index: 1, SentAt: 1, Payload: []byte("ro")})
+	good, err := AppendMarshal(nil, SharePacket{Seq: 2, K: 2, M: 2, Index: 1, SentAt: 1, Payload: []byte("ro")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestUnmarshalDoesNotMutateInput(t *testing.T) {
 // TestUnmarshalZeroAlloc pins parsing at zero allocations on the happy
 // path (the payload aliases the input).
 func TestUnmarshalZeroAlloc(t *testing.T) {
-	buf, err := Marshal(SharePacket{Seq: 3, K: 2, M: 3, Index: 0, SentAt: 1, Payload: bytes.Repeat([]byte{1}, 512)})
+	buf, err := AppendMarshal(nil, SharePacket{Seq: 3, K: 2, M: 3, Index: 0, SentAt: 1, Payload: bytes.Repeat([]byte{1}, 512)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // its input — the property concurrent receivers sharing one receive buffer
 // depend on.
 func FuzzUnmarshal(f *testing.F) {
-	good, err := Marshal(SharePacket{
+	good, err := AppendMarshal(nil, SharePacket{
 		Seq: 1, K: 2, M: 3, Index: 1, SentAt: 42, Payload: []byte("seed"),
 	})
 	if err != nil {
@@ -68,7 +68,7 @@ func FuzzUnmarshal(f *testing.F) {
 			return
 		}
 		// Re-marshal in the version the datagram declared. A v1 datagram
-		// must have parsed with Session 0 (Marshal would refuse it
+		// must have parsed with Session 0 (AppendMarshal would refuse it
 		// otherwise, failing the test as intended).
 		remarshal := func(dst []byte) ([]byte, error) {
 			if data[2] == VersionSession {
@@ -89,7 +89,7 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("append re-marshal: %v", err)
 		}
 		if !bytes.Equal(prefixed[2:], data) {
-			t.Fatalf("append re-marshal differs from Marshal")
+			t.Fatalf("append re-marshal differs from a fresh one")
 		}
 		// The dispatch fast path must agree with the full parser on every
 		// accepted datagram.

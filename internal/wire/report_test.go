@@ -57,7 +57,7 @@ func TestReportUnmarshalErrors(t *testing.T) {
 // TestReportNotConfusableWithShare: the two datagram types must reject each
 // other, since both arrive on UDP sockets.
 func TestReportNotConfusableWithShare(t *testing.T) {
-	share, err := Marshal(SharePacket{Seq: 1, K: 1, M: 1, Index: 0, Payload: []byte{1}})
+	share, err := AppendMarshal(nil, SharePacket{Seq: 1, K: 1, M: 1, Index: 0, Payload: []byte{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

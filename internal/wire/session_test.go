@@ -55,13 +55,10 @@ func TestSessionZeroIsLegalInV2(t *testing.T) {
 	}
 }
 
-// TestV1RefusesSessionID: the v1 marshalers must not silently drop a
+// TestV1RefusesSessionID: the v1 marshaler must not silently drop a
 // session ID — that would misroute the share on a gateway socket.
 func TestV1RefusesSessionID(t *testing.T) {
 	p := validSessionPacket()
-	if _, err := Marshal(p); !errors.Is(err, ErrBadParams) {
-		t.Errorf("Marshal: got %v, want ErrBadParams", err)
-	}
 	if _, err := AppendMarshal(nil, p); !errors.Is(err, ErrBadParams) {
 		t.Errorf("AppendMarshal: got %v, want ErrBadParams", err)
 	}
@@ -70,7 +67,7 @@ func TestV1RefusesSessionID(t *testing.T) {
 // TestV1StillParsesWithSessionZero: version gating — the pre-gateway
 // format is unchanged on the wire and parses with Session 0.
 func TestV1StillParsesWithSessionZero(t *testing.T) {
-	buf, err := Marshal(validPacket())
+	buf, err := AppendMarshal(nil, validPacket())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +110,7 @@ func TestSessionUnmarshalErrors(t *testing.T) {
 	t.Run("v2 header with v1 length", func(t *testing.T) {
 		// A v1-sized datagram relabeled v2: the payload-length check must
 		// reject it before any out-of-range read.
-		v1, err := Marshal(validPacket())
+		v1, err := AppendMarshal(nil, validPacket())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +129,7 @@ func TestPeekSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := Marshal(validPacket())
+	v1, err := AppendMarshal(nil, validPacket())
 	if err != nil {
 		t.Fatal(err)
 	}

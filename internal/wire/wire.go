@@ -28,8 +28,8 @@
 //
 // Unmarshal accepts both versions (a v1 datagram parses with Session 0),
 // so a gateway socket can carry v2 traffic alongside pre-gateway v1
-// senders. Marshal and AppendMarshal emit v1 and refuse packets with a
-// session ID — silently dropping the ID would misroute the share — and
+// senders. AppendMarshal emits v1 and refuses packets with a session ID —
+// silently dropping the ID would misroute the share — and
 // AppendMarshalSession emits v2.
 //
 // The timestamp lets the receiver measure one-way delay against the same
@@ -57,7 +57,7 @@ const HeaderSizeV2 = 36
 // MaxPayload is the largest payload length the 16-bit length field allows.
 const MaxPayload = 1<<16 - 1
 
-// Version is the protocol version emitted by Marshal.
+// Version is the protocol version emitted by AppendMarshal.
 const Version = 1
 
 // VersionSession is the protocol version emitted by AppendMarshalSession:
@@ -86,7 +86,7 @@ type SharePacket struct {
 	// Session identifies the secret-sharing session the share belongs to
 	// on a multiplexed (gateway) socket. Zero means single-session
 	// traffic: v1 datagrams always parse with Session 0, and a packet
-	// with Session 0 marshals to the v1 format via Marshal/AppendMarshal
+	// with Session 0 marshals to the v1 format via AppendMarshal
 	// or to v2 via AppendMarshalSession.
 	Session uint64
 	// K is the reconstruction threshold for the symbol.
@@ -113,11 +113,6 @@ func (p SharePacket) Validate() error {
 		return fmt.Errorf("%w: payload %d bytes", ErrBadParams, len(p.Payload))
 	}
 	return nil
-}
-
-// Marshal serializes the packet. The payload is copied into the result.
-func Marshal(p SharePacket) ([]byte, error) {
-	return AppendMarshal(nil, p)
 }
 
 // AppendMarshal serializes the packet in the v1 format onto dst (which may

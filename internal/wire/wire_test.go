@@ -22,7 +22,7 @@ func validPacket() SharePacket {
 
 func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 	p := validPacket()
-	buf, err := Marshal(p)
+	buf, err := AppendMarshal(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRoundtripQuick(t *testing.T) {
 			payload = payload[:4096]
 		}
 		p := SharePacket{Seq: seq, K: k, M: m, Index: idx, SentAt: sentAt, Payload: payload}
-		buf, err := Marshal(p)
+		buf, err := AppendMarshal(nil, p)
 		if err != nil {
 			return false
 		}
@@ -65,7 +65,7 @@ func TestRoundtripQuick(t *testing.T) {
 func TestNegativeTimestamp(t *testing.T) {
 	p := validPacket()
 	p.SentAt = -42
-	buf, err := Marshal(p)
+	buf, err := AppendMarshal(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMarshalValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := validPacket()
 			tc.mod(&p)
-			if _, err := Marshal(p); !errors.Is(err, ErrBadParams) {
+			if _, err := AppendMarshal(nil, p); !errors.Is(err, ErrBadParams) {
 				t.Errorf("got %v, want ErrBadParams", err)
 			}
 		})
@@ -100,7 +100,7 @@ func TestMarshalValidation(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	good, err := Marshal(validPacket())
+	good, err := AppendMarshal(nil, validPacket())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		p.K = 3
 		p.M = 3
 		p.Index = 2
-		buf, err := Marshal(p)
+		buf, err := AppendMarshal(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 // rechecksum recomputes the CRC field after test mutations, exactly as
-// Marshal does.
+// AppendMarshal does.
 func rechecksum(buf []byte) {
 	buf[24], buf[25], buf[26], buf[27] = 0, 0, 0, 0
 	s := crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli))
@@ -177,7 +177,7 @@ func rechecksum(buf []byte) {
 }
 
 func TestUnmarshalDoesNotCopyPayload(t *testing.T) {
-	buf, err := Marshal(validPacket())
+	buf, err := AppendMarshal(nil, validPacket())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestUnmarshalDoesNotCopyPayload(t *testing.T) {
 }
 
 func TestHeaderSizeStable(t *testing.T) {
-	buf, err := Marshal(SharePacket{K: 1, M: 1, Index: 0, Payload: []byte{0}})
+	buf, err := AppendMarshal(nil, SharePacket{K: 1, M: 1, Index: 0, Payload: []byte{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func BenchmarkMarshal(b *testing.B) {
 	p.Payload = make([]byte, 1400)
 	b.SetBytes(int64(len(p.Payload)))
 	for i := 0; i < b.N; i++ {
-		if _, err := Marshal(p); err != nil {
+		if _, err := AppendMarshal(nil, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func BenchmarkMarshal(b *testing.B) {
 func BenchmarkUnmarshal(b *testing.B) {
 	p := validPacket()
 	p.Payload = make([]byte, 1400)
-	buf, err := Marshal(p)
+	buf, err := AppendMarshal(nil, p)
 	if err != nil {
 		b.Fatal(err)
 	}

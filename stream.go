@@ -26,8 +26,8 @@ func NewStreamWriter(send func([]byte) error, chunkSize int, retry func(error) b
 
 // NewStreamOrderer builds an in-order delivery buffer over Receiver
 // symbols: feed OnSymbol's (seq, payload) into Push and receive the stream
-// in order via deliver. onGap (may be nil) is told about symbols given up
-// on.
-func NewStreamOrderer(window int, deliver func(seq uint64, payload []byte), onGap func(seq uint64)) (*StreamOrderer, error) {
+// in order via deliver. onGap (may be nil) is told once per run of symbols
+// given up on: its first sequence number and its length.
+func NewStreamOrderer(window int, deliver func(seq uint64, payload []byte), onGap func(first, n uint64)) (*StreamOrderer, error) {
 	return stream.NewOrderer(window, deliver, onGap)
 }

@@ -1,13 +1,8 @@
 package remicss
 
 import (
-	"io"
-	"time"
-
 	"remicss/internal/adapt"
-	"remicss/internal/measure"
 	"remicss/internal/pathset"
-	"remicss/internal/sharing"
 )
 
 // Network topology support: derive model channel sets from graphs with
@@ -61,34 +56,4 @@ var ErrRiskUnmet = adapt.ErrRiskUnmet
 // NewAdaptController builds a runtime parameter controller.
 func NewAdaptController(cfg AdaptConfig) (*AdaptController, error) {
 	return adapt.New(cfg)
-}
-
-// Channel measurement.
-
-// ChannelProber actively probes one channel; pair with a ChannelSink on the
-// receiving side to estimate the channel's loss, delay, and rate.
-type ChannelProber = measure.Prober
-
-// ChannelSink accumulates probe arrivals into a channel estimate.
-type ChannelSink = measure.Sink
-
-// NewChannelProber builds a prober over a link.
-func NewChannelProber(link Link, clock func() time.Duration) (*ChannelProber, error) {
-	return measure.NewProber(link, clock)
-}
-
-// NewChannelSink builds a probe sink with the given rate window and
-// reordering slack.
-func NewChannelSink(clock func() time.Duration, window time.Duration, slack int) (*ChannelSink, error) {
-	return measure.NewSink(clock, window, slack)
-}
-
-// Blakley scheme.
-
-// NewBlakleyScheme returns Blakley's hyperplane threshold scheme, the
-// paper's other foundational secret sharing construction. Interchangeable
-// with the default scheme; shares are k bytes longer. r may be nil for
-// crypto/rand.
-func NewBlakleyScheme(r io.Reader) SharingScheme {
-	return sharing.NewBlakley(r)
 }

@@ -50,29 +50,3 @@ func TestAdaptControllerFacade(t *testing.T) {
 		t.Errorf("mu = %v after loss, want raised", mu)
 	}
 }
-
-func TestBlakleySchemeFacade(t *testing.T) {
-	s := remicss.NewBlakleyScheme(nil)
-	shares, err := s.Split([]byte("facade"), 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Combine(shares[:2], 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "facade" {
-		t.Errorf("got %q", got)
-	}
-}
-
-func TestChannelProbingFacade(t *testing.T) {
-	clock := func() time.Duration { return time.Second }
-	sink, err := remicss.NewChannelSink(clock, time.Second, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sink.Estimate(0.1); err == nil {
-		t.Error("estimate with no probes succeeded")
-	}
-}
