@@ -128,26 +128,6 @@ func TestParallelEdgesAreDistinctChannels(t *testing.T) {
 	if len(paths) != 3 {
 		t.Fatalf("found %d paths, want 3 parallel channels", len(paths))
 	}
-
-	// Edge-disjoint paths may share an interior node: two parallel edge
-	// pairs through m give two paths, and the route via x a third.
-	g, err = NewGraph([]Edge{
-		{From: "s", To: "m", Risk: 0.1, Rate: 1},
-		{From: "m", To: "t", Risk: 0.1, Rate: 1},
-		{From: "s", To: "m", Risk: 0.1, Rate: 1},
-		{From: "m", To: "t", Risk: 0.1, Rate: 1},
-		{From: "s", To: "x", Risk: 0.1, Rate: 1},
-		{From: "x", To: "t", Risk: 0.1, Rate: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if paths, err = g.DisjointPaths("s", "t"); err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 3 {
-		t.Fatalf("found %d paths through a shared node, want 3", len(paths))
-	}
 }
 
 func TestNoPath(t *testing.T) {
@@ -184,6 +164,47 @@ func TestGraphValidation(t *testing.T) {
 	}
 	if _, err := NewGraph(nil); !errors.Is(err, ErrBadGraph) {
 		t.Error("empty graph accepted")
+	}
+}
+
+// TestNodeDisjointFiltering checks that DisjointPaths returns edge-disjoint,
+// not node-disjoint, paths: a caller that needs node-disjoint routes must
+// filter paths that share an interior node itself.
+func TestNodeDisjointFiltering(t *testing.T) {
+	// Two edge-disjoint paths sharing interior node m, plus one through a
+	// distinct node.
+	edges := []Edge{
+		{From: "s", To: "m", Risk: 0.1, Rate: 1},
+		{From: "m", To: "t", Risk: 0.1, Rate: 1},
+		{From: "s", To: "m", Risk: 0.1, Rate: 1},
+		{From: "m", To: "t", Risk: 0.1, Rate: 1},
+		{From: "s", To: "x", Risk: 0.1, Rate: 1},
+		{From: "x", To: "t", Risk: 0.1, Rate: 1},
+	}
+	g, err := NewGraph(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := g.DisjointPaths("s", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 3 {
+		t.Fatalf("edge-disjoint paths = %d, want 3", len(paths))
+	}
+	usedM, usedX := 0, 0
+	for _, p := range paths {
+		for _, n := range p.Nodes() {
+			switch n {
+			case "m":
+				usedM++
+			case "x":
+				usedX++
+			}
+		}
+	}
+	if usedM != 2 || usedX != 1 {
+		t.Errorf("paths via m = %d, via x = %d; want 2 and 1", usedM, usedX)
 	}
 }
 
