@@ -99,6 +99,10 @@ func send(args []string) error {
 	if *to == "" || *in == "" {
 		return errors.New("send requires -to and -in")
 	}
+	addrs := strings.Split(*to, ",")
+	if err := (remicss.Params{Kappa: *kappa, Mu: *mu}).Validate(make(remicss.ChannelSet, len(addrs))); err != nil {
+		return err
+	}
 	scheme, err := buildScheme(*key)
 	if err != nil {
 		return err
@@ -107,7 +111,6 @@ func send(args []string) error {
 	if err != nil {
 		return err
 	}
-	addrs := strings.Split(*to, ",")
 	links, err := remicss.DialUDP(addrs, nil, 0)
 	if err != nil {
 		return err

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"remicss"
 )
 
 func TestBuildScheme(t *testing.T) {
@@ -37,6 +40,16 @@ func TestRunModeDispatch(t *testing.T) {
 	}
 	if err := run([]string{"recv"}); err == nil {
 		t.Error("recv without flags accepted")
+	}
+}
+
+// TestSendRejectsMuAboveChannels checks that send refuses -mu above the
+// number of -to addresses before it reads -in or dials.
+func TestSendRejectsMuAboveChannels(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.bin")
+	err := run([]string{"send", "-to", "127.0.0.1:9,127.0.0.1:10", "-in", missing, "-kappa", "2", "-mu", "3"})
+	if !errors.Is(err, remicss.ErrInvalidParams) {
+		t.Fatalf("send with μ=3 over 2 channels: %v, want ErrInvalidParams", err)
 	}
 }
 

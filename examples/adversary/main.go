@@ -22,14 +22,14 @@ func main() {
 	// non-random message and look at what one share of a 2-of-3 split
 	// leaks. Entropy of the share bytes should be that of uniform noise.
 	secret := make([]byte, 4096) // all zeros: maximally structured
-	shares, err := scheme.Split(secret, 2, 3)
+	shares, err := scheme.SplitSharesInto(secret, 2, 3, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("secret entropy:    %.3f bits/byte (all zeros)\n", entropy(secret))
 	fmt.Printf("one share entropy: %.3f bits/byte (≈8 = uniform noise)\n", entropy(shares[1].Data))
 
-	two, err := scheme.Combine(shares[:2], 2, 3)
+	two, err := scheme.CombineInto(nil, shares[:2], 2, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,26 +5,25 @@
 //
 // Two kinds of operation, with different timing properties:
 //
-//   - The slice kernels (MulSlice, AddMulSlice, MulAddSlice, HornerBlock,
-//     AddSlice) are data-independent: no memory is indexed by the data
-//     bytes, and branches depend only on lengths and the multiplier, which
-//     callers take from public values (share x-coordinates, Lagrange
-//     weights). Secret bytes go through these.
-//   - Mul, Div, Inv, Exp, Log, Pow, EvalPoly and Interpolate are lookups in
-//     the discrete log/exp tables (generator 0x03) with zero checks, so
-//     their cache footprint depends on their operands. They are meant for
-//     public operands: x-coordinates and Lagrange weights. No caller feeds
-//     them secret data.
+//   - The slice kernels (AddMulSlice, HornerBlock, AddSlice) are
+//     data-independent: no memory is indexed by the data bytes, and
+//     branches depend only on lengths and the multiplier, which callers
+//     take from public values (share x-coordinates, Lagrange weights).
+//     Secret bytes go through these.
+//   - Mul and Div are lookups in the discrete log/exp tables (generator
+//     0x03) with zero checks, so their cache footprint depends on their
+//     operands. They are meant for public operands: internal/shamir calls
+//     them only to compute Lagrange weights from x-coordinates. EvalPoly
+//     and Interpolate are built on them and serve as the byte-major test
+//     oracles for the split and the combine. No caller feeds them secret
+//     data.
 //
 // This package is the arithmetic substrate for the Shamir threshold scheme
 // in internal/shamir: secrets and shares are processed byte-by-byte, with
 // each byte an element of this field.
 package gf256
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // poly is the AES irreducible polynomial x^8+x^4+x^3+x+1 used for reduction.
 const poly = 0x11b
@@ -108,46 +107,6 @@ func Div(a, b byte) byte {
 		d += 255
 	}
 	return expTable[d]
-}
-
-// Inv returns the multiplicative inverse of a. It panics if a is zero.
-func Inv(a byte) byte {
-	if a == 0 {
-		panic("gf256: inverse of zero")
-	}
-	return expTable[255-int(logTable[a])]
-}
-
-// Exp returns generator^n, reducing n modulo 255.
-func Exp(n int) byte {
-	n %= 255
-	if n < 0 {
-		n += 255
-	}
-	return expTable[n]
-}
-
-// Log returns the discrete logarithm of a to the generator base.
-// It panics if a is zero, which has no logarithm.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTable[a])
-}
-
-// Pow returns a raised to the power n (n >= 0). Pow(0, 0) is defined as 1.
-func Pow(a byte, n int) byte {
-	if n < 0 {
-		panic(fmt.Sprintf("gf256: negative exponent %d", n))
-	}
-	if n == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	return Exp(Log(a) * n % 255)
 }
 
 // EvalPoly evaluates the polynomial with the given coefficients at x using

@@ -98,12 +98,12 @@ func TestMulProperties(t *testing.T) {
 
 func TestInvAndDiv(t *testing.T) {
 	for a := 1; a < 256; a++ {
-		inv := Inv(byte(a))
+		inv := Div(1, byte(a))
 		if got := Mul(byte(a), inv); got != 1 {
-			t.Fatalf("Mul(%#x, Inv(%#x)) = %#x, want 1", a, a, got)
+			t.Fatalf("Mul(%#x, Div(1, %#x)) = %#x, want 1", a, a, got)
 		}
-		if got := Div(1, byte(a)); got != inv {
-			t.Fatalf("Div(1, %#x) = %#x, want Inv = %#x", a, got, inv)
+		if got := mulSlow(byte(a), inv); got != 1 {
+			t.Fatalf("Div(1, %#x) = %#x is not the inverse under the slow oracle", a, inv)
 		}
 	}
 	roundtrip := func(a, b byte) bool {
@@ -126,43 +126,29 @@ func TestDivByZeroPanics(t *testing.T) {
 	Div(1, 0)
 }
 
-func TestInvZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Inv(0) did not panic")
-		}
-	}()
-	Inv(0)
-}
-
-func TestLogZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Log(0) did not panic")
-		}
-	}()
-	Log(0)
-}
-
+// TestExpLogRoundtrip checks the discrete log/exp tables Mul and Div read:
+// logTable inverts expTable on every nonzero element, and the doubled half
+// of expTable repeats the first, so Mul may index logA+logB unreduced.
 func TestExpLogRoundtrip(t *testing.T) {
 	for a := 1; a < 256; a++ {
-		if got := Exp(Log(byte(a))); got != byte(a) {
-			t.Fatalf("Exp(Log(%#x)) = %#x", a, got)
+		if got := expTable[logTable[a]]; got != byte(a) {
+			t.Fatalf("expTable[logTable[%#x]] = %#x", a, got)
 		}
 	}
-	// Exp must reduce modulo 255, including negative arguments.
-	if Exp(255) != Exp(0) {
-		t.Error("Exp(255) != Exp(0)")
-	}
-	if Exp(-1) != Exp(254) {
-		t.Error("Exp(-1) != Exp(254)")
+	for i := 0; i < 255; i++ {
+		if expTable[i+255] != expTable[i] {
+			t.Fatalf("expTable[%d] = %#x, expTable[%d] = %#x", i+255, expTable[i+255], i, expTable[i])
+		}
 	}
 }
 
 func TestGeneratorIsPrimitive(t *testing.T) {
 	seen := make(map[byte]bool, 255)
 	for i := 0; i < 255; i++ {
-		seen[Exp(i)] = true
+		seen[expTable[i]] = true
+		if i > 0 && expTable[i] != mulSlow(expTable[i-1], generator) {
+			t.Fatalf("expTable[%d] = %#x is not generator·expTable[%d]", i, expTable[i], i-1)
+		}
 	}
 	if len(seen) != 255 {
 		t.Errorf("generator produced %d distinct powers, want 255", len(seen))
@@ -170,45 +156,6 @@ func TestGeneratorIsPrimitive(t *testing.T) {
 	if seen[0] {
 		t.Error("generator powers include zero")
 	}
-}
-
-func TestPow(t *testing.T) {
-	cases := []struct {
-		a    byte
-		n    int
-		want byte
-	}{
-		{0, 0, 1},
-		{0, 5, 0},
-		{5, 0, 1},
-		{2, 1, 2},
-		{2, 8, 0x1b}, // x^8 = x^4+x^3+x+1 under the AES polynomial
-	}
-	for _, tc := range cases {
-		if got := Pow(tc.a, tc.n); got != tc.want {
-			t.Errorf("Pow(%#x, %d) = %#x, want %#x", tc.a, tc.n, got, tc.want)
-		}
-	}
-	// Pow agrees with repeated multiplication.
-	agree := func(a byte, n uint8) bool {
-		want := byte(1)
-		for i := 0; i < int(n); i++ {
-			want = Mul(want, a)
-		}
-		return Pow(a, int(n)) == want
-	}
-	if err := quick.Check(agree, nil); err != nil {
-		t.Error("Pow disagrees with repeated Mul:", err)
-	}
-}
-
-func TestPowNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Pow(2, -1) did not panic")
-		}
-	}()
-	Pow(2, -1)
 }
 
 func TestEvalPoly(t *testing.T) {

@@ -40,7 +40,7 @@ func refMul(a, b byte) byte {
 	return p
 }
 
-// checkKernelBeforeScalarOps drives MulSlice and HornerBlock as the very
+// checkKernelBeforeScalarOps drives AddMulSlice and HornerBlock as the very
 // first field operations of the test binary and checks them against the
 // table-free reference. If table construction were still split across
 // per-file init funcs with an implicit ordering, a reordering regression
@@ -53,10 +53,11 @@ func checkKernelBeforeScalarOps() error {
 	}
 	dst := make([]byte, 256)
 	for c := 0; c < 256; c++ {
-		MulSlice(dst, src, byte(c))
+		clear(dst)
+		AddMulSlice(dst, src, byte(c))
 		for i := range src {
 			if want := refMul(byte(c), src[i]); dst[i] != want {
-				return fmt.Errorf("MulSlice: %#02x * %#02x = %#02x, want %#02x", c, src[i], dst[i], want)
+				return fmt.Errorf("AddMulSlice: %#02x * %#02x = %#02x, want %#02x", c, src[i], dst[i], want)
 			}
 		}
 	}
@@ -95,6 +96,8 @@ func TestInitTablesIdempotent(t *testing.T) {
 	}
 }
 
+// TestHornerBlockMatchesMulAddSlice checks the fused, windowed HornerBlock
+// against one full-length Horner step per block (hornerStep).
 func TestHornerBlockMatchesMulAddSlice(t *testing.T) {
 	const L = 1000 // odd-ish length exercising the unrolled tail
 	blocks := make([][]byte, 4)
@@ -108,7 +111,7 @@ func TestHornerBlockMatchesMulAddSlice(t *testing.T) {
 		want := make([]byte, L)
 		copy(want, blocks[0])
 		for _, c := range blocks[1:] {
-			MulAddSlice(want, x, c)
+			hornerStep(want, x, c)
 		}
 		got := make([]byte, L)
 		// Evaluate through ragged windows to cover lo>0 and short tails.
@@ -121,7 +124,7 @@ func TestHornerBlockMatchesMulAddSlice(t *testing.T) {
 			lo = hi
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("HornerBlock(x=%#02x) diverges from MulAddSlice sequence", x)
+			t.Fatalf("HornerBlock(x=%#02x) diverges from the step sequence", x)
 		}
 	}
 }

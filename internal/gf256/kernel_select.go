@@ -7,14 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// A kernel is one implementation of the three general-case slice passes.
-// The degenerate multipliers (0 and 1) never reach a pass: the public entry
-// points in kernels.go peel them off first, so passes may assume c ∉ {0, 1}
-// (x ≠ 0 for mulXorPass) and len(dst) == len(src).
+// A kernel is one implementation of the general-case slice passes. The
+// degenerate multipliers never reach a pass: the public entry points in
+// kernels.go peel them off first, so passes may assume c ∉ {0, 1} for
+// addMulPass, x ≠ 0 for mulXorPass, and len(dst) == len(src).
 type kernel struct {
 	name string
-	// mulPass sets dst[i] = c*src[i].
-	mulPass func(dst, src []byte, c byte)
 	// addMulPass accumulates dst[i] ^= c*src[i].
 	addMulPass func(dst, src []byte, c byte)
 	// mulXorPass computes the Horner step acc[i] = x*acc[i] ^ coeff[i].

@@ -22,34 +22,16 @@ import "encoding/binary"
 // so the portable kernel may branch on its bits, and nibTab is indexed by it
 // alone.
 //
-// All kernels require len(src) == len(dst) (or len(acc) == len(coeff)) and
-// panic otherwise: a length mismatch is a programming error in the caller's
-// buffer management, never a runtime condition.
+// AddMulSlice and AddSlice require len(src) == len(dst), and HornerBlock a
+// window inside dst and every block; each panics otherwise: a length
+// mismatch is a programming error in the caller's buffer management, never a
+// runtime condition.
 
 // nibTab[c] packs the two 16-entry nibble product tables for c — low-nibble
 // products in [0,16), high-nibble products in [16,32) — the layout the avx2
 // kernel broadcasts into registers (one vpshufb per nibble). 8 KiB total,
 // built by initTables.
 var nibTab [256][32]byte
-
-// MulSlice sets dst[i] = c * src[i] for every i. dst and src may be the
-// same slice (in-place scaling); partial overlap is not supported.
-//
-//remicss:noalloc
-func MulSlice(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf256: MulSlice length mismatch")
-	}
-	if c == 0 {
-		clear(dst)
-		return
-	}
-	if c == 1 {
-		copy(dst, src)
-		return
-	}
-	kern.Load().mulPass(dst, src, c)
-}
 
 // AddMulSlice accumulates dst[i] ^= c * src[i] for every i — the
 // scaled-accumulate step of Lagrange reconstruction (secret += w_i · Y_i).
@@ -70,23 +52,6 @@ func AddMulSlice(dst, src []byte, c byte) {
 	kern.Load().addMulPass(dst, src, c)
 }
 
-// MulAddSlice performs one block Horner step: acc[i] = acc[i]*x ^ coeff[i]
-// for every i. Iterated from the highest-degree coefficient slice down to
-// the constant term, it evaluates len(acc) polynomials at x in parallel.
-// acc and coeff must not overlap.
-//
-//remicss:noalloc
-func MulAddSlice(acc []byte, x byte, coeff []byte) {
-	if len(acc) != len(coeff) {
-		panic("gf256: MulAddSlice length mismatch")
-	}
-	if x == 0 {
-		copy(acc, coeff)
-		return
-	}
-	kern.Load().mulXorPass(acc, coeff, x)
-}
-
 // HornerBlock evaluates the window [lo, hi) of a batch of polynomials at x,
 // fused across every coefficient block: with blocks ordered highest-degree
 // coefficient first and ending with the constant term, it computes
@@ -95,9 +60,11 @@ func MulAddSlice(acc []byte, x byte, coeff []byte) {
 //
 // for i in [lo, hi). Iterating lo over L1-sized tiles and, inside each tile,
 // over every evaluation point keeps the coefficient tile cache-resident while
-// all shares are produced from it — the loop-interchanged form of calling
-// MulAddSlice once per block over the full length. dst must not overlap any
-// block; every block must cover [lo, hi).
+// all shares are produced from it — the loop-interchanged form of one
+// Horner pass per block over the full length. This is the package's one
+// Horner entry point: a single step acc = x*acc ^ coeff is the two-block
+// call with blocks (acc, coeff). dst must not overlap any block; every block
+// must cover [lo, hi).
 //
 //remicss:noalloc
 func HornerBlock(dst []byte, x byte, blocks [][]byte, lo, hi int) {
@@ -154,7 +121,6 @@ func AddSlice(dst, src []byte) {
 
 var portableKernel = kernel{
 	name:       "portable",
-	mulPass:    portableMulPass,
 	addMulPass: portableAddMulPass,
 	mulXorPass: portableMulXorPass,
 	xorPass:    portableXorPass,
@@ -191,20 +157,6 @@ func store8(b []byte, v uint64) {
 	var w [8]byte
 	binary.LittleEndian.PutUint64(w[:], v)
 	copy(b, w[:])
-}
-
-// portableMulPass sets dst[i] = c*src[i].
-//
-//remicss:noalloc
-func portableMulPass(dst, src []byte, c byte) {
-	le := binary.LittleEndian
-	n := len(dst) &^ 7
-	for i := 0; i < n; i += 8 {
-		le.PutUint64(dst[i:], mul8(le.Uint64(src[i:]), c))
-	}
-	if n < len(dst) {
-		store8(dst[n:], mul8(load8(src[n:]), c))
-	}
 }
 
 // portableAddMulPass accumulates dst[i] ^= c*src[i].

@@ -31,9 +31,6 @@ package gf256
 // positive multiple of 32.
 //
 //go:noescape
-func gfMulAVX2(tab *byte, dst, src *byte, n int)
-
-//go:noescape
 func gfAddMulAVX2(tab *byte, dst, src *byte, n int)
 
 //go:noescape
@@ -46,13 +43,7 @@ func gfXorAVX2(dst, src *byte, n int)
 // positive multiple of 32.
 //
 //go:noescape
-func gfMulGFNI(c byte, dst, src *byte, n int)
-
-//go:noescape
 func gfAddMulGFNI(c byte, dst, src *byte, n int)
-
-//go:noescape
-func gfMulXorGFNI(x byte, acc, coeff *byte, n int)
 
 // gfHornerGFNI evaluates dst[i] for i in [off, off+n) from the nb ≥ 2
 // coefficient blocks at blocks (highest degree first), each read at the
@@ -67,17 +58,19 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0 (kernels_amd64.s).
 func xgetbv() (eax, edx uint32)
 
+// gfni has no Horner step of its own: HornerBlock sends every call with two
+// or more blocks on this tier to gfniHorner, so mulXorPass is not reached
+// here. It holds avx2's step, which every gfni host can run (detectVector
+// requires AVX2 for gfni).
 var gfniKernel = kernel{
 	name:       "gfni",
-	mulPass:    gfniMulPass,
 	addMulPass: gfniAddMulPass,
-	mulXorPass: gfniMulXorPass,
+	mulXorPass: avx2MulXorPass,
 	xorPass:    avx2XorPass,
 }
 
 var avx2Kernel = kernel{
 	name:       "avx2",
-	mulPass:    avx2MulPass,
 	addMulPass: avx2AddMulPass,
 	mulXorPass: avx2MulXorPass,
 	xorPass:    avx2XorPass,
@@ -117,17 +110,6 @@ func detectVector() (avx2, gfni bool) {
 	return avx2, avx2 && ecx7&(1<<8) != 0
 }
 
-// avx2MulPass sets dst[i] = c*src[i]; c ∉ {0, 1}.
-//
-//remicss:noalloc
-func avx2MulPass(dst, src []byte, c byte) {
-	n := len(dst) &^ 31
-	if n > 0 {
-		gfMulAVX2(&nibTab[c][0], &dst[0], &src[0], n)
-	}
-	portableMulPass(dst[n:], src[n:], c)
-}
-
 // avx2AddMulPass accumulates dst[i] ^= c*src[i]; c ∉ {0, 1}.
 //
 //remicss:noalloc
@@ -161,17 +143,6 @@ func avx2MulXorPass(acc, coeff []byte, x byte) {
 	portableMulXorPass(acc[n:], coeff[n:], x)
 }
 
-// gfniMulPass sets dst[i] = c*src[i]; c ∉ {0, 1}.
-//
-//remicss:noalloc
-func gfniMulPass(dst, src []byte, c byte) {
-	n := len(dst) &^ 31
-	if n > 0 {
-		gfMulGFNI(c, &dst[0], &src[0], n)
-	}
-	portableMulPass(dst[n:], src[n:], c)
-}
-
 // gfniAddMulPass accumulates dst[i] ^= c*src[i]; c ∉ {0, 1}.
 //
 //remicss:noalloc
@@ -181,17 +152,6 @@ func gfniAddMulPass(dst, src []byte, c byte) {
 		gfAddMulGFNI(c, &dst[0], &src[0], n)
 	}
 	portableAddMulPass(dst[n:], src[n:], c)
-}
-
-// gfniMulXorPass computes acc[i] = x*acc[i] ^ coeff[i]; x ≠ 0.
-//
-//remicss:noalloc
-func gfniMulXorPass(acc, coeff []byte, x byte) {
-	n := len(acc) &^ 31
-	if n > 0 {
-		gfMulXorGFNI(x, &acc[0], &coeff[0], n)
-	}
-	portableMulXorPass(acc[n:], coeff[n:], x)
 }
 
 // gfniHorner is HornerBlock's body on the gfni tier, called directly (a

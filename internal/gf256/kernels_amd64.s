@@ -9,7 +9,7 @@
 // register, so one VPSHUFB resolves 32 lookups. Callers guarantee n is a
 // positive multiple of 32.
 //
-// Register plan (identical in all three routines):
+// Register plan (identical in both routines):
 //   Y4  low-nibble product table, both lanes
 //   Y5  high-nibble product table, both lanes
 //   Y6  0x0f byte mask
@@ -21,34 +21,6 @@ DATA nibMask<>+0x08(SB)/8, $0x0f0f0f0f0f0f0f0f
 DATA nibMask<>+0x10(SB)/8, $0x0f0f0f0f0f0f0f0f
 DATA nibMask<>+0x18(SB)/8, $0x0f0f0f0f0f0f0f0f
 GLOBL nibMask<>(SB), RODATA|NOPTR, $32
-
-// func gfMulAVX2(tab *byte, dst, src *byte, n int)
-// dst[i] = c*src[i]
-TEXT ·gfMulAVX2(SB), NOSPLIT, $0-32
-	MOVQ tab+0(FP), AX
-	MOVQ dst+8(FP), DI
-	MOVQ src+16(FP), SI
-	MOVQ n+24(FP), CX
-	VBROADCASTI128 (AX), Y4
-	VBROADCASTI128 16(AX), Y5
-	VMOVDQU nibMask<>(SB), Y6
-
-mulLoop:
-	VMOVDQU (SI), Y0
-	VPSRLQ  $4, Y0, Y1
-	VPAND   Y6, Y0, Y0
-	VPAND   Y6, Y1, Y1
-	VPSHUFB Y0, Y4, Y0
-	VPSHUFB Y1, Y5, Y1
-	VPXOR   Y1, Y0, Y0
-	VMOVDQU Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $32, CX
-	JNZ     mulLoop
-
-	VZEROUPPER
-	RET
 
 // func gfAddMulAVX2(tab *byte, dst, src *byte, n int)
 // dst[i] ^= c*src[i]
@@ -133,27 +105,6 @@ xorLoop:
 // the multiplier broadcast into every byte of Y7. VEX.256 encodings only.
 // Callers guarantee n is a positive multiple of 32.
 
-// func gfMulGFNI(c byte, dst, src *byte, n int)
-// dst[i] = c*src[i]
-TEXT ·gfMulGFNI(SB), NOSPLIT, $0-32
-	MOVBLZX c+0(FP), AX
-	MOVQ    dst+8(FP), DI
-	MOVQ    src+16(FP), SI
-	MOVQ    n+24(FP), CX
-	MOVQ    AX, X7
-	VPBROADCASTB X7, Y7
-
-gfniMulLoop:
-	VGF2P8MULB (SI), Y7, Y0
-	VMOVDQU    Y0, (DI)
-	ADDQ       $32, SI
-	ADDQ       $32, DI
-	SUBQ       $32, CX
-	JNZ        gfniMulLoop
-
-	VZEROUPPER
-	RET
-
 // func gfAddMulGFNI(c byte, dst, src *byte, n int)
 // dst[i] ^= c*src[i]
 TEXT ·gfAddMulGFNI(SB), NOSPLIT, $0-32
@@ -172,28 +123,6 @@ gfniAddMulLoop:
 	ADDQ       $32, DI
 	SUBQ       $32, CX
 	JNZ        gfniAddMulLoop
-
-	VZEROUPPER
-	RET
-
-// func gfMulXorGFNI(x byte, acc, coeff *byte, n int)
-// acc[i] = x*acc[i] ^ coeff[i]  (one Horner step)
-TEXT ·gfMulXorGFNI(SB), NOSPLIT, $0-32
-	MOVBLZX x+0(FP), AX
-	MOVQ    acc+8(FP), DI
-	MOVQ    coeff+16(FP), SI
-	MOVQ    n+24(FP), CX
-	MOVQ    AX, X7
-	VPBROADCASTB X7, Y7
-
-gfniMulXorLoop:
-	VGF2P8MULB (DI), Y7, Y0
-	VPXOR      (SI), Y0, Y0
-	VMOVDQU    Y0, (DI)
-	ADDQ       $32, SI
-	ADDQ       $32, DI
-	SUBQ       $32, CX
-	JNZ        gfniMulXorLoop
 
 	VZEROUPPER
 	RET

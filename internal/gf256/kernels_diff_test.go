@@ -44,22 +44,11 @@ func TestKernelsMatchReferenceAllMultipliers(t *testing.T) {
 		for c := 0; c < 256; c++ {
 			n := diffLengths[c%len(diffLengths)]
 			s := src[off : off+n]
-			want := make([]byte, n)
-			for i := range want {
-				want[i] = refMul(byte(c), s[i])
-			}
-
-			dst := make([]byte, off+n)
-			MulSlice(dst[off:], s, byte(c))
-			if !bytes.Equal(dst[off:], want) {
-				t.Fatalf("MulSlice c=%#02x n=%d diverges from reference", c, n)
-			}
-
 			acc := make([]byte, off+n)
 			copy(acc[off:], src[:n])
 			wantAcc := make([]byte, n)
 			for i := range wantAcc {
-				wantAcc[i] = src[i] ^ want[i]
+				wantAcc[i] = src[i] ^ refMul(byte(c), s[i])
 			}
 			AddMulSlice(acc[off:], s, byte(c))
 			if !bytes.Equal(acc[off:], wantAcc) {
@@ -181,12 +170,10 @@ func FuzzKernels(f *testing.F) {
 		}
 		src, init := blocks[0][lo:hi], randomBytes(rng, hi-lo)
 
-		mul, addMul, mulAdd := make([]byte, hi-lo), make([]byte, hi-lo), make([]byte, hi-lo)
+		addMul := make([]byte, hi-lo)
 		horner := make([]byte, hi)
-		for i := range mul {
-			mul[i] = refMul(c, src[i])
-			addMul[i] = init[i] ^ mul[i]
-			mulAdd[i] = refMul(init[i], c) ^ src[i]
+		for i := range addMul {
+			addMul[i] = init[i] ^ refMul(c, src[i])
 		}
 		for i := lo; i < hi; i++ {
 			horner[i] = refHorner(blocks, c, i)
@@ -197,20 +184,10 @@ func FuzzKernels(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := make([]byte, hi-lo)
-			MulSlice(got, src, c)
-			if !bytes.Equal(got, mul) {
-				t.Errorf("%s MulSlice c=%#02x len=%d diverges", name, c, hi-lo)
-			}
-			copy(got, init)
+			got := append([]byte(nil), init...)
 			AddMulSlice(got, src, c)
 			if !bytes.Equal(got, addMul) {
 				t.Errorf("%s AddMulSlice c=%#02x len=%d diverges", name, c, hi-lo)
-			}
-			copy(got, init)
-			MulAddSlice(got, c, src)
-			if !bytes.Equal(got, mulAdd) {
-				t.Errorf("%s MulAddSlice x=%#02x len=%d diverges", name, c, hi-lo)
 			}
 			dst := make([]byte, hi)
 			HornerBlock(dst, c, blocks, lo, hi)
@@ -224,7 +201,7 @@ func FuzzKernels(f *testing.F) {
 
 func TestKernelsCrossAgree(t *testing.T) {
 	// Belt over the reference braces: all kernels on the same inputs,
-	// byte-identical outputs, including the fused MulAddSlice entry point.
+	// byte-identical outputs, including a single two-block Horner step.
 	kernels := Kernels()
 	if len(kernels) < 2 {
 		t.Skipf("only %v compiled in", kernels)
@@ -234,28 +211,27 @@ func TestKernelsCrossAgree(t *testing.T) {
 		src := randomBytes(rng, n)
 		add := randomBytes(rng, n)
 		c := byte(rng.Intn(254) + 2)
-		type out struct{ mul, mulAdd []byte }
+		type out struct{ addMul, horner []byte }
 		results := make(map[string]out, len(kernels))
 		for _, name := range kernels {
 			restore, err := ForceKernel(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mul := make([]byte, n)
-			MulSlice(mul, src, c)
-			mulAdd := make([]byte, n)
-			copy(mulAdd, add)
-			MulAddSlice(mulAdd, c, src)
+			addMul := append([]byte(nil), add...)
+			AddMulSlice(addMul, src, c)
+			horner := make([]byte, n)
+			HornerBlock(horner, c, [][]byte{add, src}, 0, n)
 			restore()
-			results[name] = out{mul, mulAdd}
+			results[name] = out{addMul, horner}
 		}
 		base := results[kernels[0]]
 		for _, name := range kernels[1:] {
-			if !bytes.Equal(results[name].mul, base.mul) {
-				t.Fatalf("MulSlice: %s and %s disagree at n=%d c=%#02x", kernels[0], name, n, c)
+			if !bytes.Equal(results[name].addMul, base.addMul) {
+				t.Fatalf("AddMulSlice: %s and %s disagree at n=%d c=%#02x", kernels[0], name, n, c)
 			}
-			if !bytes.Equal(results[name].mulAdd, base.mulAdd) {
-				t.Fatalf("MulAddSlice: %s and %s disagree at n=%d c=%#02x", kernels[0], name, n, c)
+			if !bytes.Equal(results[name].horner, base.horner) {
+				t.Fatalf("HornerBlock: %s and %s disagree at n=%d c=%#02x", kernels[0], name, n, c)
 			}
 		}
 	}
@@ -289,11 +265,11 @@ func TestAllKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	dst := randomBytes(rng, 1400)
 	src := randomBytes(rng, 1400)
+	blocks := [][]byte{src, src, src}
 	withKernels(t, func(t *testing.T, name string) {
 		for what, f := range map[string]func(){
-			"MulSlice":    func() { MulSlice(dst, src, 3) },
 			"AddMulSlice": func() { AddMulSlice(dst, src, 3) },
-			"MulAddSlice": func() { MulAddSlice(dst, 3, src) },
+			"HornerBlock": func() { HornerBlock(dst, 3, blocks, 0, len(dst)) },
 			"AddSlice":    func() { AddSlice(dst, src) },
 		} {
 			if avg := testing.AllocsPerRun(100, f); avg != 0 {
@@ -315,6 +291,7 @@ func TestPortableKernelColdMultiplierNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	dst := randomBytes(rng, 1400)
 	src := randomBytes(rng, 1400)
+	blocks := [][]byte{src, src}
 	for c := 2; c < 256; c++ {
 		x := byte(c)
 		for _, op := range []struct {
@@ -322,8 +299,7 @@ func TestPortableKernelColdMultiplierNoAlloc(t *testing.T) {
 			f    func()
 		}{
 			{"AddMulSlice", func() { AddMulSlice(dst, src, x) }},
-			{"MulSlice", func() { MulSlice(dst, src, x) }},
-			{"MulAddSlice", func() { MulAddSlice(dst, x, src) }},
+			{"HornerBlock", func() { HornerBlock(dst, x, blocks, 0, len(dst)) }},
 		} {
 			// AllocsPerRun makes one uncounted warm-up call first; skip the
 			// work in that one so the counted call is the multiplier's

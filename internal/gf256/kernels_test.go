@@ -12,30 +12,6 @@ func randomBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// TestMulSlice checks MulSlice against scalar Mul over random inputs,
-// including the in-place case and the c=0 and c=1 fast paths.
-func TestMulSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 7, 8, 9, 1400} {
-		for _, c := range []byte{0, 1, 2, 0x53, 0xff} {
-			src := randomBytes(rng, n)
-			dst := make([]byte, n)
-			MulSlice(dst, src, c)
-			for i := range src {
-				if want := Mul(c, src[i]); dst[i] != want {
-					t.Fatalf("n=%d c=%d: dst[%d] = %d, want %d", n, c, i, dst[i], want)
-				}
-			}
-			// In place.
-			inPlace := append([]byte(nil), src...)
-			MulSlice(inPlace, inPlace, c)
-			if !bytes.Equal(inPlace, dst) {
-				t.Fatalf("n=%d c=%d: in-place MulSlice differs", n, c)
-			}
-		}
-	}
-}
-
 // TestAddMulSlice checks the scaled accumulate against scalar arithmetic.
 func TestAddMulSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -55,6 +31,14 @@ func TestAddMulSlice(t *testing.T) {
 	}
 }
 
+// hornerStep is one block Horner step acc[i] = x*acc[i] ^ coeff[i]: the
+// two-block HornerBlock call over the full length.
+func hornerStep(acc []byte, x byte, coeff []byte) {
+	out := make([]byte, len(acc))
+	HornerBlock(out, x, [][]byte{acc, coeff}, 0, len(acc))
+	copy(acc, out)
+}
+
 // TestMulAddSlice checks that iterated block Horner steps agree with the
 // scalar EvalPoly on every byte position.
 func TestMulAddSlice(t *testing.T) {
@@ -68,7 +52,7 @@ func TestMulAddSlice(t *testing.T) {
 		acc := make([]byte, n)
 		copy(acc, coeffs[k-1])
 		for j := k - 2; j >= 0; j-- {
-			MulAddSlice(acc, x, coeffs[j])
+			hornerStep(acc, x, coeffs[j])
 		}
 		scalar := make([]byte, k)
 		for i := 0; i < n; i++ {
@@ -104,9 +88,7 @@ func TestAddSlice(t *testing.T) {
 // lengths are a caller bug.
 func TestKernelLengthMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"MulSlice":    func() { MulSlice(make([]byte, 2), make([]byte, 3), 1) },
 		"AddMulSlice": func() { AddMulSlice(make([]byte, 2), make([]byte, 3), 1) },
-		"MulAddSlice": func() { MulAddSlice(make([]byte, 2), 1, make([]byte, 3)) },
 		"AddSlice":    func() { AddSlice(make([]byte, 2), make([]byte, 3)) },
 	} {
 		func() {
@@ -124,10 +106,10 @@ func TestKernelLengthMismatchPanics(t *testing.T) {
 func TestKernelsDoNotAllocate(t *testing.T) {
 	src := randomBytes(rand.New(rand.NewSource(5)), 1400)
 	dst := make([]byte, len(src))
+	blocks := [][]byte{src, src, src}
 	if n := testing.AllocsPerRun(100, func() {
-		MulSlice(dst, src, 0x53)
 		AddMulSlice(dst, src, 0x9c)
-		MulAddSlice(dst, 0x1b, src)
+		HornerBlock(dst, 0x1b, blocks, 0, len(dst))
 		AddSlice(dst, src)
 	}); n != 0 {
 		t.Fatalf("kernels allocate %v times per run, want 0", n)
@@ -145,16 +127,12 @@ func benchKernel(b *testing.B, f func(dst, src []byte)) {
 	}
 }
 
-func BenchmarkMulSlice1400B(b *testing.B) {
-	benchKernel(b, func(dst, src []byte) { MulSlice(dst, src, 0x53) })
-}
-
 func BenchmarkAddMulSlice1400B(b *testing.B) {
 	benchKernel(b, func(dst, src []byte) { AddMulSlice(dst, src, 0x53) })
 }
 
-func BenchmarkMulAddSlice1400B(b *testing.B) {
-	benchKernel(b, func(dst, src []byte) { MulAddSlice(dst, 0x53, src) })
+func BenchmarkHornerStep1400B(b *testing.B) {
+	benchKernel(b, func(dst, src []byte) { HornerBlock(dst, 0x53, [][]byte{src, src}, 0, len(dst)) })
 }
 
 func BenchmarkAddSlice1400B(b *testing.B) {

@@ -132,7 +132,8 @@ func (s *Session) Send(payload []byte) error {
 }
 
 func (s *Session) transmit(payload []byte) error {
-	shares, err := s.scheme.Split(payload, s.n, s.n)
+	// Fresh shares per symbol: they stay in flight for retransmission.
+	shares, err := s.scheme.SplitSharesInto(payload, s.n, s.n, nil)
 	if err != nil {
 		return fmt.Errorf("micss: split: %w", err)
 	}

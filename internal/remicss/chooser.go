@@ -34,10 +34,18 @@ type Chooser interface {
 // wastes capacity — the IndexOrder option exists to measure exactly that
 // effect.
 type DynamicChooser struct {
-	kappa, mu float64
-	rng       *rand.Rand
+	dither
 	// indexOrder reverts to fixed index-order channel selection (ablation).
 	indexOrder bool
+}
+
+// dither is the (k, m) draw and the least-backlog placement both dynamic
+// choosers share (DynamicChooser and HealthChooser). Choose mutates the
+// rng, the pending draw and the scratch, so a chooser must not be shared
+// between senders (the owning Sender serializes its own calls).
+type dither struct {
+	kappa, mu float64
+	rng       *rand.Rand
 	// pending holds a (k, m) draw that could not be satisfied yet. The
 	// reference protocol blocks until m channels are ready rather than
 	// skipping the symbol, so the draw must survive failed attempts —
@@ -46,12 +54,60 @@ type DynamicChooser struct {
 	pendingValid bool
 	pendingK     int
 	pendingM     int
-	// ready and backlog are Choose scratch, reused across calls so the
-	// per-symbol hot path stays allocation-free. A DynamicChooser must not
-	// be shared between senders: Choose mutates the rng, the pending draw,
-	// and this scratch (the owning Sender serializes its own calls).
+	// ready and backlog are the caller's ready channels and their transmit
+	// backlogs, reused across calls so the per-symbol hot path stays
+	// allocation-free.
 	ready   []int
 	backlog []time.Duration
+}
+
+// draw returns the pending (k, m), drawing one if none is pending.
+//
+//remicss:noalloc
+func (d *dither) draw() (k, m int) {
+	if !d.pendingValid {
+		// Comonotone dither: the same uniform drives both roundings, so
+		// kappa <= mu implies k <= m symbol by symbol.
+		u := d.rng.Float64()
+		m := int(math.Floor(d.mu))
+		if u < d.mu-math.Floor(d.mu) {
+			m++
+		}
+		k := int(math.Floor(d.kappa))
+		if u < d.kappa-math.Floor(d.kappa) {
+			k++
+		}
+		d.pendingK, d.pendingM, d.pendingValid = k, m, true
+	}
+	return d.pendingK, d.pendingM
+}
+
+// place settles the pending draw on the first m of d.ready (m <=
+// len(d.ready)), taken in ascending backlog order when byBacklog is set and
+// in index order otherwise, and returns them as a channel mask.
+//
+//remicss:noalloc
+func (d *dither) place(m int, byBacklog bool) uint32 {
+	ready, backlog := d.ready, d.backlog
+	if byBacklog {
+		// Stable insertion sort by backlog: sort.SliceStable's closure and
+		// interface conversion allocate on every call, and readiness sets
+		// are tiny (≤ 32 channels), so this keeps Choose allocation-free.
+		// Backlogs are sampled once per link by the caller rather than
+		// re-queried per comparison.
+		for i := 1; i < len(ready); i++ {
+			for j := i; j > 0 && backlog[j] < backlog[j-1]; j-- {
+				ready[j], ready[j-1] = ready[j-1], ready[j]
+				backlog[j], backlog[j-1] = backlog[j-1], backlog[j]
+			}
+		}
+	}
+	var mask uint32
+	for _, i := range ready[:m] {
+		mask |= 1 << uint(i)
+	}
+	d.pendingValid = false
+	return mask
 }
 
 // DynamicOption configures a DynamicChooser.
@@ -74,7 +130,7 @@ func NewDynamicChooser(kappa, mu float64, rng *rand.Rand, opts ...DynamicOption)
 	if rng == nil {
 		return nil, fmt.Errorf("remicss: nil rng")
 	}
-	c := &DynamicChooser{kappa: kappa, mu: mu, rng: rng}
+	c := &DynamicChooser{dither: dither{kappa: kappa, mu: mu, rng: rng}}
 	for _, o := range opts {
 		o(c)
 	}
@@ -85,25 +141,10 @@ func NewDynamicChooser(kappa, mu float64, rng *rand.Rand, opts ...DynamicOption)
 //
 //remicss:noalloc
 func (c *DynamicChooser) Choose(links []Link) (int, uint32, bool) {
-	if !c.pendingValid {
-		// Comonotone dither: the same uniform drives both roundings, so
-		// kappa <= mu implies k <= m symbol by symbol.
-		u := c.rng.Float64()
-		m := int(math.Floor(c.mu))
-		if u < c.mu-math.Floor(c.mu) {
-			m++
-		}
-		k := int(math.Floor(c.kappa))
-		if u < c.kappa-math.Floor(c.kappa) {
-			k++
-		}
-		c.pendingK, c.pendingM, c.pendingValid = k, m, true
-	}
-	k, m := c.pendingK, c.pendingM
+	k, m := c.draw()
 	if m > len(links) {
 		return 0, 0, false
 	}
-
 	ready := c.ready[:0]
 	backlog := c.backlog[:0]
 	for i, l := range links {
@@ -113,28 +154,11 @@ func (c *DynamicChooser) Choose(links []Link) (int, uint32, bool) {
 		}
 	}
 	c.ready, c.backlog = ready, backlog
+	// Fewer than m ready channels: stall, keeping the draw for the retry.
 	if len(ready) < m {
 		return 0, 0, false
 	}
-	if !c.indexOrder {
-		// Stable insertion sort by backlog: sort.SliceStable's closure and
-		// interface conversion allocate on every call, and readiness sets
-		// are tiny (≤ 32 channels), so this keeps Choose allocation-free.
-		// Backlogs are sampled once per link above rather than re-queried
-		// per comparison.
-		for i := 1; i < len(ready); i++ {
-			for j := i; j > 0 && backlog[j] < backlog[j-1]; j-- {
-				ready[j], ready[j-1] = ready[j-1], ready[j]
-				backlog[j], backlog[j-1] = backlog[j-1], backlog[j]
-			}
-		}
-	}
-	var mask uint32
-	for _, i := range ready[:m] {
-		mask |= 1 << uint(i)
-	}
-	c.pendingValid = false
-	return k, mask, true
+	return k, c.place(m, !c.indexOrder), true
 }
 
 // StaticChooser draws (k, M) i.i.d. from an explicit share schedule, such

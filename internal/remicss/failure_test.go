@@ -132,7 +132,7 @@ func TestReceiverHandlesReorderedShares(t *testing.T) {
 	var datagrams [][]byte
 	for seq := uint64(0); seq < 20; seq++ {
 		payload := []byte{byte(seq), 0xEE}
-		shares, err := scheme.Split(payload, 2, 3)
+		shares, err := scheme.SplitSharesInto(payload, 2, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestReceiverMakeReportDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	deliver := func(seq uint64) {
-		shares, err := scheme.Split([]byte{byte(seq)}, 1, 1)
+		shares, err := scheme.SplitSharesInto([]byte{byte(seq)}, 1, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

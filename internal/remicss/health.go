@@ -404,18 +404,9 @@ func (t *HealthTracker) Usable(ch int) bool {
 // rng, the pending draw, and scratch (the owning Sender serializes its
 // own calls through chooserMu).
 type HealthChooser struct {
-	tracker   *HealthTracker
-	kappa, mu float64
-	rng       *rand.Rand
-
-	// pending carries an unsatisfied (k, m) draw across stalled attempts,
-	// mirroring DynamicChooser (redrawing would bias realized μ).
-	pendingValid bool
-	pendingK     int
-	pendingM     int
-	// ready and backlog are Choose scratch, reused across calls.
-	ready   []int
-	backlog []time.Duration
+	// dither's ready and backlog hold the usable, writable channels.
+	dither
+	tracker *HealthTracker
 
 	// Re-solve mode (nil set disables): the full channel set and LP
 	// objective, the sampler for the current usable subset, and the
@@ -475,7 +466,7 @@ func NewHealthChooser(kappa, mu float64, tracker *HealthTracker, rng *rand.Rand,
 	if rng == nil {
 		return nil, fmt.Errorf("remicss: nil rng")
 	}
-	c := &HealthChooser{kappa: kappa, mu: mu, tracker: tracker, rng: rng}
+	c := &HealthChooser{dither: dither{kappa: kappa, mu: mu, rng: rng}, tracker: tracker}
 	for _, o := range opts {
 		o(c)
 	}
@@ -551,22 +542,7 @@ func (c *HealthChooser) Choose(links []Link) (int, uint32, bool) {
 		// Re-solve failed; fall through to clamping so delivery continues.
 	}
 
-	if !c.pendingValid {
-		// Comonotone dither, exactly as DynamicChooser: one uniform
-		// drives both roundings, so k <= m symbol by symbol and k never
-		// leaves {⌊κ⌋, ⌈κ⌉}.
-		u := c.rng.Float64()
-		m := int(math.Floor(c.mu))
-		if u < c.mu-math.Floor(c.mu) {
-			m++
-		}
-		k := int(math.Floor(c.kappa))
-		if u < c.kappa-math.Floor(c.kappa) {
-			k++
-		}
-		c.pendingK, c.pendingM, c.pendingValid = k, m, true
-	}
-	k, m := c.pendingK, c.pendingM
+	k, m := c.draw()
 	// Failover degradation: clamp the multiplicity to the usable set, but
 	// never the threshold — below k usable channels the symbol stalls.
 	if m > len(ready) {
@@ -575,20 +551,7 @@ func (c *HealthChooser) Choose(links []Link) (int, uint32, bool) {
 	if m < k {
 		return 0, 0, false
 	}
-	// Stable insertion sort by backlog (see DynamicChooser: avoids
-	// sort.SliceStable's allocations on a tiny slice).
-	for i := 1; i < len(ready); i++ {
-		for j := i; j > 0 && backlog[j] < backlog[j-1]; j-- {
-			ready[j], ready[j-1] = ready[j-1], ready[j]
-			backlog[j], backlog[j-1] = backlog[j-1], backlog[j]
-		}
-	}
-	var mask uint32
-	for _, i := range ready[:m] {
-		mask |= 1 << uint(i)
-	}
-	c.pendingValid = false
-	return k, mask, true
+	return k, c.place(m, true), true
 }
 
 // chooseResolved implements re-solve mode: solve the LP over the usable

@@ -231,6 +231,50 @@ func TestHealthChooserClampsMultiplicityKeepsThreshold(t *testing.T) {
 	}
 }
 
+// TestHealthChooserMatchesDynamicWhenHealthy pins the dither the two dynamic
+// choosers share: with every channel healthy and writable, and the same
+// seed, HealthChooser must yield DynamicChooser's (k, mask) sequence symbol
+// for symbol — the same comonotone draws, placed on the same least-backlog
+// channels. Backlogs are redrawn per symbol from a few values, so ties
+// exercise the stable sort.
+func TestHealthChooserMatchesDynamicWhenHealthy(t *testing.T) {
+	for _, tc := range []struct {
+		kappa, mu float64
+		n         int
+	}{
+		{1.7, 2.6, 5},
+		{2, 3, 3},
+		{1.2, 4.5, 6},
+	} {
+		links := make([]Link, tc.n)
+		hl := make([]*healthLink, tc.n)
+		for i := range links {
+			hl[i] = &healthLink{writable: true, accept: true}
+			links[i] = hl[i]
+		}
+		dyn, err := NewDynamicChooser(tc.kappa, tc.mu, rand.New(rand.NewSource(21)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hc, err := NewHealthChooser(tc.kappa, tc.mu, newTracker(t, HealthConfig{}, tc.n, &fakeClock{}), rand.New(rand.NewSource(21)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		backlogs := rand.New(rand.NewSource(22))
+		for sym := 0; sym < 10000; sym++ {
+			for _, l := range hl {
+				l.backlog = time.Duration(backlogs.Intn(4)) * time.Millisecond
+			}
+			dk, dmask, dok := dyn.Choose(links)
+			hk, hmask, hok := hc.Choose(links)
+			if dk != hk || dmask != hmask || dok != hok {
+				t.Fatalf("κ=%v μ=%v n=%d symbol %d: dynamic (%d, %05b, %v), health (%d, %05b, %v)",
+					tc.kappa, tc.mu, tc.n, sym, dk, dmask, dok, hk, hmask, hok)
+			}
+		}
+	}
+}
+
 func TestHealthChooserStallsBelowThresholdFloor(t *testing.T) {
 	clock := &fakeClock{}
 	tr := newTracker(t, HealthConfig{}, 3, clock)

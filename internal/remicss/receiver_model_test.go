@@ -136,7 +136,7 @@ func (m *modelReceiver) handle(buf []byte, now time.Duration) {
 			return
 		}
 		sh.forget(pkt.Seq)
-		secret, err := m.scheme.Combine(e.shares, e.k, e.m)
+		secret, err := m.scheme.CombineInto(nil, e.shares, e.k, e.m)
 		if err != nil {
 			m.stats.CombineFailures++
 			return
@@ -267,7 +267,7 @@ func runReceiverScript(t *testing.T, prog []byte) ReceiverStats {
 		for j := range s.payload {
 			s.payload[j] = byte(seq*31 + uint64(j)*7 + 1)
 		}
-		shares, err := scheme.Split(s.payload, k, m)
+		shares, err := scheme.SplitSharesInto(s.payload, k, m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -321,7 +321,7 @@ func TestReceiverDuplicateAndLateShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares, err := scheme.Split([]byte("dup test"), 2, 3)
+	shares, err := scheme.SplitSharesInto([]byte("dup test"), 2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestReceiverTimeoutEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares, err := scheme.Split([]byte("evict me"), 2, 3)
+	shares, err := scheme.SplitSharesInto([]byte("evict me"), 2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

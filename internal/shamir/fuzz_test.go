@@ -16,28 +16,28 @@ func FuzzSplitCombine(f *testing.F) {
 		}
 		m := int(mSeed)%8 + 1
 		k := int(kSeed)%m + 1
-		shares, err := Split(secret, k, m)
+		shares, err := NewSplitter(nil).SplitInto(secret, k, m, nil)
 		if err != nil {
 			t.Fatalf("valid parameters rejected: %v", err)
 		}
-		got, err := Combine(shares[:k])
+		got, err := CombineInto(nil, shares[:k])
 		if err != nil {
 			t.Fatalf("combine: %v", err)
 		}
 		if !bytes.Equal(got, secret) {
 			t.Fatal("roundtrip mismatch")
 		}
-		// The into variants must agree with the wrappers on the same shares.
-		intoShares, err := NewSplitter(nil).SplitInto(secret, k, m, make([]Share, 0, m))
+		// A second round trip on the first one's buffers must agree.
+		shares, err = NewSplitter(nil).SplitInto(secret, k, m, shares)
 		if err != nil {
-			t.Fatalf("split into: %v", err)
+			t.Fatalf("split into recycled shares: %v", err)
 		}
-		gotInto, err := CombineInto(make([]byte, 0, len(secret)), intoShares[m-k:])
+		got, err = CombineInto(got, shares[m-k:])
 		if err != nil {
-			t.Fatalf("combine into: %v", err)
+			t.Fatalf("combine into recycled dst: %v", err)
 		}
-		if !bytes.Equal(gotInto, secret) {
-			t.Fatal("into-variant roundtrip mismatch")
+		if !bytes.Equal(got, secret) {
+			t.Fatal("recycled-storage roundtrip mismatch")
 		}
 	})
 }

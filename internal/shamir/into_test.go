@@ -5,17 +5,24 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"remicss/internal/gf256"
 )
 
-// TestSplitIntoMatchesSplit checks that SplitInto with a fresh slice and
-// Split agree byte for byte under the same randomness stream.
+// TestSplitIntoMatchesSplit checks that SplitInto on fresh storage (nil
+// shares) and on recycled storage — longer, dirty share buffers left by an
+// earlier split — agree byte for byte under the same randomness stream.
 func TestSplitIntoMatchesSplit(t *testing.T) {
-	secret := []byte("block-wise versus wrapper")
-	a, err := NewSplitter(rand.New(rand.NewSource(11))).Split(secret, 3, 5)
+	secret := []byte("fresh versus recycled storage")
+	a, err := NewSplitter(rand.New(rand.NewSource(11))).SplitInto(secret, 3, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSplitter(rand.New(rand.NewSource(11))).SplitInto(secret, 3, 5, nil)
+	recycled, err := NewSplitter(rand.New(rand.NewSource(99))).SplitInto(bytes.Repeat([]byte{0xee}, 3*len(secret)), 4, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSplitter(rand.New(rand.NewSource(11))).SplitInto(secret, 3, 5, recycled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +31,7 @@ func TestSplitIntoMatchesSplit(t *testing.T) {
 	}
 	for i := range a {
 		if a[i].X != b[i].X || !bytes.Equal(a[i].Y, b[i].Y) {
-			t.Fatalf("share %d differs between Split and SplitInto", i)
+			t.Fatalf("share %d differs between fresh and recycled storage", i)
 		}
 	}
 }
@@ -46,7 +53,7 @@ func TestSplitIntoReusesBuffers(t *testing.T) {
 	if &shares[0].Y[0] != firstY {
 		t.Error("SplitInto did not reuse the Y buffer of share 0")
 	}
-	got, err := Combine(shares[1:4])
+	got, err := CombineInto(nil, shares[1:4])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +72,7 @@ func TestSplitIntoReusesBuffers(t *testing.T) {
 			t.Fatalf("share %d has %d bytes after shrink, want %d", i, len(s.Y), len(small))
 		}
 	}
-	got, err = Combine(shares[:2])
+	got, err = CombineInto(nil, shares[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +81,9 @@ func TestSplitIntoReusesBuffers(t *testing.T) {
 	}
 }
 
-// TestCombineIntoMatchesCombine checks the block-wise Lagrange accumulation
-// against the wrapper across thresholds and share subsets.
+// TestCombineIntoMatchesCombine checks that CombineInto into a nil dst and
+// into a recycled dst — dirty, and longer than the secret — return the same
+// secret across thresholds and share subsets.
 func TestCombineIntoMatchesCombine(t *testing.T) {
 	f := func(seed int64, kSeed, mSeed uint8, secret []byte) bool {
 		if len(secret) == 0 {
@@ -86,19 +94,61 @@ func TestCombineIntoMatchesCombine(t *testing.T) {
 		}
 		m := int(mSeed)%7 + 1
 		k := int(kSeed)%m + 1
-		shares, err := NewSplitter(rand.New(rand.NewSource(seed))).Split(secret, k, m)
+		shares, err := NewSplitter(rand.New(rand.NewSource(seed))).SplitInto(secret, k, m, nil)
 		if err != nil {
 			return false
 		}
-		dst := make([]byte, 0, len(secret))
-		got, err := CombineInto(dst, shares[m-k:])
+		fresh, err := CombineInto(nil, shares[m-k:])
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(got, secret)
+		recycled, err := CombineInto(bytes.Repeat([]byte{0xc3}, 2*len(secret)), shares[m-k:])
+		if err != nil {
+			return false
+		}
+		return bytes.Equal(fresh, secret) && bytes.Equal(recycled, fresh)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCombineMatchesInterpolationReference checks the block-wise Lagrange
+// accumulation against an independent oracle: byte-major
+// gf256.InterpolateAtZero, which interpolates each byte position on its own
+// with scalar arithmetic, for every k-subset of small random splits. It is
+// the combine's counterpart of the EvalPoly oracle in tiled_diff_test.go.
+func TestCombineMatchesInterpolationReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for m := 1; m <= 6; m++ {
+		for k := 1; k <= m; k++ {
+			secret := make([]byte, 1+rng.Intn(70))
+			rng.Read(secret)
+			shares, err := NewSplitter(rng).SplitInto(secret, k, m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forEachSubset(m, k, func(idx []int) {
+				sub := make([]Share, k)
+				xs, ys := make([]byte, k), make([]byte, k)
+				for i, j := range idx {
+					sub[i] = shares[j]
+					xs[i] = shares[j].X
+				}
+				got, err := CombineInto(nil, sub)
+				if err != nil {
+					t.Fatalf("k=%d m=%d subset %v: %v", k, m, idx, err)
+				}
+				for b := range secret {
+					for i := range sub {
+						ys[i] = sub[i].Y[b]
+					}
+					if want := gf256.InterpolateAtZero(xs, ys); got[b] != want {
+						t.Fatalf("k=%d m=%d subset %v byte %d: CombineInto %#02x, reference %#02x", k, m, idx, b, got[b], want)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -208,7 +258,7 @@ func BenchmarkSplitInto3of5_1400B(b *testing.B) {
 
 func BenchmarkCombineInto3of5_1400B(b *testing.B) {
 	secret := bytes.Repeat([]byte{0x5a}, 1400)
-	shares, err := NewSplitter(rand.New(rand.NewSource(1))).Split(secret, 3, 5)
+	shares, err := NewSplitter(rand.New(rand.NewSource(1))).SplitInto(secret, 3, 5, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

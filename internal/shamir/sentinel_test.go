@@ -18,7 +18,7 @@ func (r brokenReader) Read([]byte) (int, error) { return 0, r.err }
 // other shortfalls do it with errors.Is, not string inspection.
 func TestSplitSurfacesRandomShortfall(t *testing.T) {
 	cause := errors.New("backing store unplugged")
-	_, err := NewSplitter(brokenReader{err: cause}).Split([]byte("secret"), 3, 5)
+	_, err := NewSplitter(brokenReader{err: cause}).SplitInto([]byte("secret"), 3, 5, nil)
 	if !errors.Is(err, ErrRandomShortfall) {
 		t.Fatalf("error %v is not ErrRandomShortfall", err)
 	}
@@ -31,7 +31,7 @@ func TestSplitSurfacesRandomShortfall(t *testing.T) {
 	pool := drbg.NewPool(func() (*drbg.DRBG, error) {
 		return drbg.NewWithEntropy(brokenReader{err: cause})
 	})
-	_, err = NewSplitter(pool).Split([]byte("secret"), 3, 5)
+	_, err = NewSplitter(pool).SplitInto([]byte("secret"), 3, 5, nil)
 	if !errors.Is(err, ErrRandomShortfall) {
 		t.Fatalf("pooled error %v is not ErrRandomShortfall", err)
 	}
@@ -47,7 +47,7 @@ func TestDefaultSplitterUsesSharedPool(t *testing.T) {
 	if sp.rand != drbg.Shared {
 		t.Fatalf("nil reader resolved to %T, want drbg.Shared", sp.rand)
 	}
-	if _, err := sp.Split([]byte("works end to end"), 2, 3); err != nil {
+	if _, err := sp.SplitInto([]byte("works end to end"), 2, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,8 +24,8 @@ import (
 // x-coordinates are nonzero field elements, of which there are 255.
 const MaxShares = 255
 
-// Errors returned by Split and Combine. They are sentinel values so callers
-// can classify failures with errors.Is.
+// Errors returned by SplitInto and CombineInto. They are sentinel values so
+// callers can classify failures with errors.Is.
 var (
 	ErrInvalidParams   = errors.New("shamir: invalid parameters")
 	ErrEmptySecret     = errors.New("shamir: empty secret")
@@ -87,23 +87,16 @@ func NewSplitter(r io.Reader) *Splitter {
 	return &Splitter{rand: r}
 }
 
-// Split shares the secret into m shares with reconstruction threshold k.
-// Shares are assigned x-coordinates 1..m.
+// SplitInto shares the secret into m shares with reconstruction threshold k,
+// assigning x-coordinates 1..m. It writes into caller-provided share
+// storage: the shares slice is resized to m and each share's Y buffer is
+// reused when its capacity suffices, so a caller cycling the same slice
+// through repeated splits reaches a steady state of no allocation. Passing
+// nil shares allocates fresh ones. The caller owns the share buffers before
+// and after; the splitter keeps only its own scratch, the random coefficient
+// block, which it zeroes before the call returns.
 //
 // Requirements: 1 <= k <= m <= MaxShares and len(secret) > 0.
-//
-//remicss:secret secret
-func (sp *Splitter) Split(secret []byte, k, m int) ([]Share, error) {
-	return sp.SplitInto(secret, k, m, nil)
-}
-
-// SplitInto is Split writing into caller-provided share storage: the shares
-// slice is resized to m and each share's Y buffer is reused when its
-// capacity suffices, so a caller cycling the same slice through repeated
-// splits reaches a steady state of no allocation. The caller owns the share
-// buffers before and after; the splitter keeps only its own scratch, the
-// random coefficient block, which it zeroes before the call returns.
-// Passing nil shares is equivalent to Split.
 //
 // The split is evaluated block-wise: one random polynomial of degree k-1 per
 // secret byte, all evaluated together with the gf256 slice kernels — share i
@@ -212,20 +205,13 @@ func growBytes(b []byte, n int) []byte {
 	return make([]byte, n)
 }
 
-// Combine reconstructs a secret from at least k shares produced by Split
-// with threshold k. Passing more than k shares is fine; all are used, which
-// also serves as a consistency check only in the sense that interpolation is
-// over the provided points (it does not detect corrupted shares).
-//
-// Combine fails if shares disagree on length, duplicate an x-coordinate, or
-// include a zero x-coordinate.
-func Combine(shares []Share) ([]byte, error) {
-	return CombineInto(nil, shares)
-}
-
-// CombineInto is Combine writing the reconstructed secret into dst, which is
-// resized (reusing capacity) to the share length and returned. Passing nil
-// dst allocates the result, which is then this function's only allocation.
+// CombineInto reconstructs a secret from at least k shares produced by
+// SplitInto with threshold k, writing it into dst, which is resized (reusing
+// capacity) to the share length and returned. Passing nil dst allocates the
+// result, which is then this function's only allocation. More than k shares
+// are fine; all are interpolated over, which does not detect corrupted
+// shares. CombineInto fails if shares disagree on length, duplicate an
+// x-coordinate, or include a zero x-coordinate.
 //
 // Reconstruction is block-wise: the Lagrange basis weight at zero
 // w_i = Π_{j≠i} x_j / (x_i + x_j) is computed once per share, and the secret
@@ -276,12 +262,4 @@ func CombineInto(dst []byte, shares []Share) ([]byte, error) {
 		gf256.AddMulSlice(dst, shares[i].Y, gf256.Div(num, den))
 	}
 	return dst, nil
-}
-
-// Split is a convenience wrapper drawing coefficients from the shared DRBG
-// pool (crypto/rand-seeded; see internal/drbg).
-//
-//remicss:secret secret
-func Split(secret []byte, k, m int) ([]Share, error) {
-	return NewSplitter(nil).Split(secret, k, m)
 }

@@ -23,14 +23,14 @@ func TestSplitCombineRoundtrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			shares, err := Split(tc.secret, tc.k, tc.m)
+			shares, err := NewSplitter(nil).SplitInto(tc.secret, tc.k, tc.m, nil)
 			if err != nil {
 				t.Fatalf("Split: %v", err)
 			}
 			if len(shares) != tc.m {
 				t.Fatalf("got %d shares, want %d", len(shares), tc.m)
 			}
-			got, err := Combine(shares[:tc.k])
+			got, err := CombineInto(nil, shares[:tc.k])
 			if err != nil {
 				t.Fatalf("Combine: %v", err)
 			}
@@ -47,7 +47,7 @@ func TestAnyKOfMReconstructs(t *testing.T) {
 	secret := []byte("multichannel secret sharing")
 	for m := 1; m <= 6; m++ {
 		for k := 1; k <= m; k++ {
-			shares, err := Split(secret, k, m)
+			shares, err := NewSplitter(nil).SplitInto(secret, k, m, nil)
 			if err != nil {
 				t.Fatalf("Split(k=%d, m=%d): %v", k, m, err)
 			}
@@ -56,7 +56,7 @@ func TestAnyKOfMReconstructs(t *testing.T) {
 				for i, j := range idx {
 					sub[i] = shares[j]
 				}
-				got, err := Combine(sub)
+				got, err := CombineInto(nil, sub)
 				if err != nil {
 					t.Fatalf("Combine(k=%d, m=%d, subset=%v): %v", k, m, idx, err)
 				}
@@ -87,11 +87,11 @@ func forEachSubset(n, k int, fn func([]int)) {
 
 func TestMoreThanKSharesAlsoReconstruct(t *testing.T) {
 	secret := []byte("redundant")
-	shares, err := Split(secret, 2, 5)
+	shares, err := NewSplitter(nil).SplitInto(secret, 2, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Combine(shares) // all 5
+	got, err := CombineInto(nil, shares) // all 5
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSecrecyOfInsufficientShares(t *testing.T) {
 	sp := NewSplitter(rand.New(rand.NewSource(1)))
 	counts := make([]int, 256)
 	for i := 0; i < trials; i++ {
-		shares, err := sp.Split([]byte{0x42}, 2, 2)
+		shares, err := sp.SplitInto([]byte{0x42}, 2, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +136,11 @@ func TestSingleShareIndependentOfSecret(t *testing.T) {
 	spA := NewSplitter(rand.New(rand.NewSource(7)))
 	spB := NewSplitter(rand.New(rand.NewSource(8)))
 	for i := 0; i < trials; i++ {
-		sa, err := spA.Split([]byte{0x00}, 2, 3)
+		sa, err := spA.SplitInto([]byte{0x00}, 2, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := spB.Split([]byte{0xFF}, 2, 3)
+		sb, err := spB.SplitInto([]byte{0xFF}, 2, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestSplitParameterValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Split(tc.secret, tc.k, tc.m)
+			_, err := NewSplitter(nil).SplitInto(tc.secret, tc.k, tc.m, nil)
 			if !errors.Is(err, tc.want) {
 				t.Errorf("Split error = %v, want %v", err, tc.want)
 			}
@@ -187,37 +187,37 @@ func TestSplitParameterValidation(t *testing.T) {
 }
 
 func TestCombineValidation(t *testing.T) {
-	shares, err := Split([]byte("valid"), 2, 3)
+	shares, err := NewSplitter(nil).SplitInto([]byte("valid"), 2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("no shares", func(t *testing.T) {
-		if _, err := Combine(nil); !errors.Is(err, ErrTooFewShares) {
+		if _, err := CombineInto(nil, nil); !errors.Is(err, ErrTooFewShares) {
 			t.Errorf("got %v, want ErrTooFewShares", err)
 		}
 	})
 	t.Run("duplicate x", func(t *testing.T) {
 		dup := []Share{shares[0], shares[0]}
-		if _, err := Combine(dup); !errors.Is(err, ErrDuplicateShare) {
+		if _, err := CombineInto(nil, dup); !errors.Is(err, ErrDuplicateShare) {
 			t.Errorf("got %v, want ErrDuplicateShare", err)
 		}
 	})
 	t.Run("length mismatch", func(t *testing.T) {
 		bad := []Share{shares[0], {X: shares[1].X, Y: shares[1].Y[:2]}}
-		if _, err := Combine(bad); !errors.Is(err, ErrShareMismatch) {
+		if _, err := CombineInto(nil, bad); !errors.Is(err, ErrShareMismatch) {
 			t.Errorf("got %v, want ErrShareMismatch", err)
 		}
 	})
 	t.Run("zero x", func(t *testing.T) {
 		bad := []Share{{X: 0, Y: []byte{1, 2}}}
-		if _, err := Combine(bad); !errors.Is(err, ErrZeroCoordinate) {
+		if _, err := CombineInto(nil, bad); !errors.Is(err, ErrZeroCoordinate) {
 			t.Errorf("got %v, want ErrZeroCoordinate", err)
 		}
 	})
 	t.Run("empty Y", func(t *testing.T) {
 		bad := []Share{{X: 1, Y: nil}}
-		if _, err := Combine(bad); !errors.Is(err, ErrMalformedShare) {
+		if _, err := CombineInto(nil, bad); !errors.Is(err, ErrMalformedShare) {
 			t.Errorf("got %v, want ErrMalformedShare", err)
 		}
 	})
@@ -234,13 +234,13 @@ func TestQuickRoundtrip(t *testing.T) {
 		}
 		m := int(mSeed)%8 + 1
 		k := int(kSeed)%m + 1
-		shares, err := sp.Split(secret, k, m)
+		shares, err := sp.SplitInto(secret, k, m, nil)
 		if err != nil {
 			return false
 		}
 		// Random k-subset: shuffle then take k.
 		rng.Shuffle(len(shares), func(i, j int) { shares[i], shares[j] = shares[j], shares[i] })
-		got, err := Combine(shares[:k])
+		got, err := CombineInto(nil, shares[:k])
 		if err != nil {
 			return false
 		}
@@ -252,11 +252,11 @@ func TestQuickRoundtrip(t *testing.T) {
 }
 
 func TestDeterministicWithSeededRand(t *testing.T) {
-	s1, err := NewSplitter(rand.New(rand.NewSource(5))).Split([]byte("det"), 3, 5)
+	s1, err := NewSplitter(rand.New(rand.NewSource(5))).SplitInto([]byte("det"), 3, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewSplitter(rand.New(rand.NewSource(5))).Split([]byte("det"), 3, 5)
+	s2, err := NewSplitter(rand.New(rand.NewSource(5))).SplitInto([]byte("det"), 3, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func BenchmarkSplit3of5_1400B(b *testing.B) {
 	b.SetBytes(int64(len(secret)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sp.Split(secret, 3, 5); err != nil {
+		if _, err := sp.SplitInto(secret, 3, 5, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -281,14 +281,14 @@ func BenchmarkSplit3of5_1400B(b *testing.B) {
 
 func BenchmarkCombine3of5_1400B(b *testing.B) {
 	secret := bytes.Repeat([]byte{0x5a}, 1400)
-	shares, err := NewSplitter(rand.New(rand.NewSource(1))).Split(secret, 3, 5)
+	shares, err := NewSplitter(rand.New(rand.NewSource(1))).SplitInto(secret, 3, 5, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(secret)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Combine(shares[:3]); err != nil {
+		if _, err := CombineInto(nil, shares[:3]); err != nil {
 			b.Fatal(err)
 		}
 	}

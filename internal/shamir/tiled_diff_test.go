@@ -75,7 +75,7 @@ func TestTiledSplitMatchesScalarReference(t *testing.T) {
 				for k := 1; k <= m; k++ {
 					random := make([]byte, (k-1)*L)
 					rng.Read(random)
-					shares, err := NewSplitter(bytes.NewReader(random)).Split(secret, k, m)
+					shares, err := NewSplitter(bytes.NewReader(random)).SplitInto(secret, k, m, nil)
 					if err != nil {
 						t.Fatalf("L=%d k=%d m=%d: %v", L, k, m, err)
 					}
@@ -89,7 +89,7 @@ func TestTiledSplitMatchesScalarReference(t *testing.T) {
 								L, k, m, i)
 						}
 					}
-					got, err := Combine(shares[:k])
+					got, err := CombineInto(nil, shares[:k])
 					if err != nil {
 						t.Fatalf("L=%d k=%d m=%d combine: %v", L, k, m, err)
 					}
@@ -117,7 +117,7 @@ func TestSplitViaDRBGMatchesReference(t *testing.T) {
 		if _, err := io.ReadFull(drbg.NewDeterministic([]byte("diff")), random); err != nil {
 			t.Fatal(err)
 		}
-		shares, err := NewSplitter(drbg.NewDeterministic([]byte("diff"))).Split(secret, k, m)
+		shares, err := NewSplitter(drbg.NewDeterministic([]byte("diff"))).SplitInto(secret, k, m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,14 +4,13 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
-	"fmt"
 	"hash"
 
 	"remicss/internal/slotpool"
 )
 
 // Authenticated wraps another scheme and appends an HMAC-SHA256 tag to
-// every share, keyed by a pre-shared session key. Combine verifies each
+// every share, keyed by a pre-shared session key. CombineInto verifies each
 // share's tag before reconstruction, so a corrupted or forged share is
 // identified and rejected instead of silently producing garbage — plain
 // threshold schemes reconstruct *some* polynomial from any k points.
@@ -44,7 +43,7 @@ type macState struct {
 	stripped []Share //remicss:secret
 }
 
-// getMAC claims a keyed state for one Split or Combine call.
+// getMAC claims a keyed state for one split or combine.
 func (a *Authenticated) getMAC() *macState {
 	if st := a.macs.Get(); st != nil {
 		return st
@@ -98,50 +97,4 @@ func NewAuthenticated(inner Scheme, key []byte) (*Authenticated, error) {
 // Name implements Scheme.
 func (a *Authenticated) Name() string {
 	return "authenticated-" + a.inner.Name()
-}
-
-// Split implements Scheme: inner split, then tag each share.
-//
-//remicss:secret secret
-func (a *Authenticated) Split(secret []byte, k, m int) ([]Share, error) {
-	return a.SplitSharesInto(secret, k, m, nil)
-}
-
-// Combine implements Scheme: verify and strip each tag, then reconstruct
-// with the inner scheme. The first share failing verification aborts with
-// ErrShareForged identifying its index.
-func (a *Authenticated) Combine(shares []Share, k, m int) ([]byte, error) {
-	return a.CombineInto(nil, shares, k, m)
-}
-
-// CombineDiscarding is like Combine but tolerates forged shares when more
-// than k shares are supplied: it drops shares that fail verification and
-// reconstructs from the first k that verify. It returns the indices of the
-// discarded shares alongside the secret.
-func (a *Authenticated) CombineDiscarding(shares []Share, k, m int) ([]byte, []int, error) {
-	var good []Share
-	var bad []int
-	st := a.getMAC()
-	defer a.putMAC(st)
-	for _, s := range shares {
-		if len(s.Data) < tagLen+1 {
-			bad = append(bad, s.Index)
-			continue
-		}
-		data := s.Data[:len(s.Data)-tagLen]
-		tag := s.Data[len(s.Data)-tagLen:]
-		if !hmac.Equal(tag, st.tag(s.Index, data)) {
-			bad = append(bad, s.Index)
-			continue
-		}
-		good = append(good, Share{Index: s.Index, Data: data})
-	}
-	if len(good) < k {
-		return nil, bad, fmt.Errorf("%w: only %d of %d shares verified", ErrShareForged, len(good), k)
-	}
-	secret, err := a.inner.Combine(good[:k], k, m)
-	if err != nil {
-		return nil, bad, err
-	}
-	return secret, bad, nil
 }

@@ -21,11 +21,11 @@ func TestAuthenticatedRoundtrip(t *testing.T) {
 	secret := []byte("integrity matters")
 	for m := 1; m <= 5; m++ {
 		for k := 1; k <= m; k++ {
-			shares, err := a.Split(secret, k, m)
+			shares, err := a.SplitSharesInto(secret, k, m, nil)
 			if err != nil {
 				t.Fatalf("Split(k=%d, m=%d): %v", k, m, err)
 			}
-			got, err := a.Combine(shares[:k], k, m)
+			got, err := a.CombineInto(nil, shares[:k], k, m)
 			if err != nil {
 				t.Fatalf("Combine(k=%d, m=%d): %v", k, m, err)
 			}
@@ -38,7 +38,7 @@ func TestAuthenticatedRoundtrip(t *testing.T) {
 
 func TestAuthenticatedDetectsTampering(t *testing.T) {
 	a := newAuth(t)
-	shares, err := a.Split([]byte("tamper me"), 2, 3)
+	shares, err := a.SplitSharesInto([]byte("tamper me"), 2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestAuthenticatedDetectsTampering(t *testing.T) {
 				tampered[i] = Share{Index: shares[i].Index, Data: append([]byte(nil), shares[i].Data...)}
 			}
 			tc.mod(tampered)
-			if _, err := a.Combine(tampered, 2, 3); !errors.Is(err, ErrShareForged) {
+			if _, err := a.CombineInto(nil, tampered, 2, 3); !errors.Is(err, ErrShareForged) {
 				t.Errorf("got %v, want ErrShareForged", err)
 			}
 		})
@@ -71,46 +71,11 @@ func TestAuthenticatedWrongKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares, err := a.Split([]byte("keyed"), 2, 3)
+	shares, err := a.SplitSharesInto([]byte("keyed"), 2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Combine(shares[:2], 2, 3); !errors.Is(err, ErrShareForged) {
-		t.Errorf("got %v, want ErrShareForged", err)
-	}
-}
-
-func TestCombineDiscardingDropsForgeries(t *testing.T) {
-	a := newAuth(t)
-	secret := []byte("resilient")
-	shares, err := a.Split(secret, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt shares 1 and 3; shares 0 and 2 suffice.
-	shares[1].Data[0] ^= 0xFF
-	shares[3].Data[2] ^= 0xFF
-	got, bad, err := a.CombineDiscarding(shares, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) {
-		t.Errorf("got %q", got)
-	}
-	if len(bad) != 2 || bad[0] != shares[1].Index || bad[1] != shares[3].Index {
-		t.Errorf("discarded = %v", bad)
-	}
-}
-
-func TestCombineDiscardingTooFewSurvivors(t *testing.T) {
-	a := newAuth(t)
-	shares, err := a.Split([]byte("x"), 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares[0].Data[0] ^= 1
-	shares[1].Data[0] ^= 1
-	if _, _, err := a.CombineDiscarding(shares, 3, 4); !errors.Is(err, ErrShareForged) {
+	if _, err := b.CombineInto(nil, shares[:2], 2, 3); !errors.Is(err, ErrShareForged) {
 		t.Errorf("got %v, want ErrShareForged", err)
 	}
 }
@@ -135,11 +100,11 @@ func TestAuthenticatedOverheadIsTagLen(t *testing.T) {
 	a := newAuth(t)
 	plain := NewAuto(rand.New(rand.NewSource(3)))
 	secret := bytes.Repeat([]byte{1}, 100)
-	as, err := a.Split(secret, 2, 3)
+	as, err := a.SplitSharesInto(secret, 2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := plain.Split(secret, 2, 3)
+	ps, err := plain.SplitSharesInto(secret, 2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +121,7 @@ func BenchmarkAuthenticatedSplit(b *testing.B) {
 	secret := bytes.Repeat([]byte{0x42}, 1400)
 	b.SetBytes(int64(len(secret)))
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Split(secret, 3, 5); err != nil {
+		if _, err := a.SplitSharesInto(secret, 3, 5, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // randomness drawn from a deterministic DRBG derived from the fuzz input —
 // a failing case replays exactly, coefficients and pads included. Each
 // scheme must reconstruct the secret from an arbitrary k-subset of its
-// shares, through both the allocating and the into paths.
+// shares, on fresh storage and again on the first round's recycled buffers.
 func FuzzSplitCombine(f *testing.F) {
 	f.Add([]byte("secret"), uint8(2), uint8(5), int64(1))
 	f.Add([]byte{0}, uint8(1), uint8(1), int64(2))
@@ -49,7 +49,7 @@ func FuzzSplitCombine(f *testing.F) {
 			case Replication:
 				supported = k == 1
 			}
-			shares, err := s.Split(secret, k, m)
+			shares, err := s.SplitSharesInto(secret, k, m, nil)
 			if !supported {
 				if err == nil {
 					t.Fatalf("%s accepted unsupported (k=%d, m=%d)", s.Name(), k, m)
@@ -69,7 +69,7 @@ func FuzzSplitCombine(f *testing.F) {
 			rng.Shuffle(len(shuffled), func(i, j int) {
 				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 			})
-			got, err := s.Combine(shuffled[:k], k, m)
+			got, err := s.CombineInto(nil, shuffled[:k], k, m)
 			if err != nil {
 				t.Fatalf("%s combine (k=%d, m=%d): %v", s.Name(), k, m, err)
 			}
@@ -77,20 +77,21 @@ func FuzzSplitCombine(f *testing.F) {
 				t.Fatalf("%s roundtrip mismatch (k=%d, m=%d)", s.Name(), k, m)
 			}
 
-			// The into path on recycled buffers must agree byte for byte.
-			intoShares, err := SplitInto(s, secret, k, m, make([]Share, 0, m))
+			// A second round on the first one's share and secret buffers,
+			// through the package-level helpers, must round-trip too.
+			intoShares, err := SplitInto(s, secret, k, m, shares)
 			if err != nil {
 				t.Fatalf("%s split-into: %v", s.Name(), err)
 			}
 			rng.Shuffle(len(intoShares), func(i, j int) {
 				intoShares[i], intoShares[j] = intoShares[j], intoShares[i]
 			})
-			gotInto, err := CombineInto(s, make([]byte, 0, len(secret)), intoShares[:k], k, m)
+			gotInto, err := CombineInto(s, got, intoShares[:k], k, m)
 			if err != nil {
 				t.Fatalf("%s combine-into: %v", s.Name(), err)
 			}
 			if !bytes.Equal(gotInto, secret) {
-				t.Fatalf("%s into-path roundtrip mismatch (k=%d, m=%d)", s.Name(), k, m)
+				t.Fatalf("%s recycled-storage roundtrip mismatch (k=%d, m=%d)", s.Name(), k, m)
 			}
 		}
 	})

@@ -11,54 +11,33 @@ import (
 	"remicss/internal/shamir"
 )
 
-// IntoScheme is the allocation-aware extension of Scheme: the same
-// operations writing into caller-provided storage so a steady-state sender
-// or receiver can cycle one set of buffers instead of allocating per symbol.
-// Every scheme in this package implements it, and their Split and Combine
-// are these methods called with nil storage; SplitInto
-// and CombineInto (package-level) adapt any remaining Scheme by falling
-// back to the allocating methods.
-type IntoScheme interface {
-	Scheme
-	// SplitSharesInto splits secret into m shares with threshold k, resizing
-	// shares to length m and reusing each element's Data capacity. The
-	// returned slice must be used in place of the input (append semantics).
-	SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error)
-	// CombineInto reconstructs the secret into dst (resized, capacity
-	// reused) and returns it. Passing nil dst allocates the result.
-	CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error)
-}
+// IntoScheme is another name for Scheme, whose methods are the
+// buffer-reusing split and combine; the benchmark module compiles against
+// this name.
+type IntoScheme = Scheme
 
-// Every scheme in this package supports the into path.
+// Every scheme in this package implements Scheme.
 var (
-	_ IntoScheme = (*Shamir)(nil)
-	_ IntoScheme = (*XOR)(nil)
-	_ IntoScheme = Replication{}
-	_ IntoScheme = (*Authenticated)(nil)
-	_ IntoScheme = (*Auto)(nil)
+	_ Scheme = (*Shamir)(nil)
+	_ Scheme = (*XOR)(nil)
+	_ Scheme = Replication{}
+	_ Scheme = (*Authenticated)(nil)
+	_ Scheme = (*Auto)(nil)
 )
 
-// SplitInto dispatches to s's SplitSharesInto when implemented and falls
-// back to Split otherwise, so callers can target the into API uniformly.
+// SplitInto is s.SplitSharesInto(secret, k, m, shares).
 //
 //remicss:noalloc
 //remicss:secret secret
 func SplitInto(s Scheme, secret []byte, k, m int, shares []Share) ([]Share, error) {
-	if is, ok := s.(IntoScheme); ok {
-		return is.SplitSharesInto(secret, k, m, shares)
-	}
-	return s.Split(secret, k, m)
+	return s.SplitSharesInto(secret, k, m, shares)
 }
 
-// CombineInto dispatches to s's CombineInto when implemented and falls back
-// to Combine otherwise.
+// CombineInto is s.CombineInto(dst, shares, k, m).
 //
 //remicss:noalloc
 func CombineInto(s Scheme, dst []byte, shares []Share, k, m int) ([]byte, error) {
-	if is, ok := s.(IntoScheme); ok {
-		return is.CombineInto(dst, shares, k, m)
-	}
-	return s.Combine(shares, k, m)
+	return s.CombineInto(dst, shares, k, m)
 }
 
 // growShares resizes s to length n, reusing the backing array (and the Data
@@ -109,13 +88,14 @@ func checkShares(shares []Share, k int) error {
 	return nil
 }
 
-// SplitSharesInto implements IntoScheme: the shares carry the shamir wire
+// SplitSharesInto implements Scheme: the shares carry the shamir wire
 // form (x-coordinate byte followed by the y bytes) built block-wise in the
 // reused Data buffers. The caller owns those buffers throughout; the scheme
 // keeps only pooled scratch (the share headers here, the coefficient block
 // in the splitter), so the steady state allocates nothing.
 //
 //remicss:noalloc
+//remicss:secret secret
 func (s *Shamir) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error) {
 	if err := validate(secret, k, m); err != nil {
 		return nil, err
@@ -151,7 +131,7 @@ func (s *Shamir) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Sha
 	return shares, nil
 }
 
-// CombineInto implements IntoScheme: shares are consumed in wire form
+// CombineInto implements Scheme: shares are consumed in wire form
 // without copying their y bytes.
 //
 //remicss:noalloc
@@ -176,11 +156,12 @@ func (s *Shamir) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, erro
 	return out, nil
 }
 
-// SplitSharesInto implements IntoScheme: pads are drawn directly into the
+// SplitSharesInto implements Scheme: pads are drawn directly into the
 // reused share buffers and folded into the final share with the XOR kernel,
 // so the steady state allocates nothing.
 //
 //remicss:noalloc
+//remicss:secret secret
 func (x *XOR) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error) {
 	if err := validate(secret, k, m); err != nil {
 		return nil, err
@@ -209,7 +190,7 @@ func (x *XOR) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share,
 	return shares, nil
 }
 
-// CombineInto implements IntoScheme.
+// CombineInto implements Scheme.
 //
 //remicss:noalloc
 func (x *XOR) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error) {
@@ -227,10 +208,11 @@ func (x *XOR) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error) 
 	return dst, nil
 }
 
-// SplitSharesInto implements IntoScheme: copies into reused buffers, the
+// SplitSharesInto implements Scheme: copies into reused buffers, the
 // zero-allocation steady state of the k=1 fast path.
 //
 //remicss:noalloc
+//remicss:secret secret
 func (Replication) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error) {
 	if err := validate(secret, k, m); err != nil {
 		return nil, err
@@ -247,7 +229,7 @@ func (Replication) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]S
 	return shares, nil
 }
 
-// CombineInto implements IntoScheme.
+// CombineInto implements Scheme.
 //
 //remicss:noalloc
 func (r Replication) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error) {
@@ -268,15 +250,16 @@ func (r Replication) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, 
 	return dst, nil
 }
 
-// SplitSharesInto implements IntoScheme: the inner scheme splits into the
+// SplitSharesInto implements Scheme: the inner scheme splits into the
 // reused buffers and each tag is appended in place, computed on a pooled
 // keyed MAC state. The caller owns the share buffers throughout; once they
 // have grown by tagLen the steady state allocates nothing beyond the inner
 // scheme's own cost.
 //
 //remicss:noalloc
+//remicss:secret secret
 func (a *Authenticated) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error) {
-	shares, err := SplitInto(a.inner, secret, k, m, shares)
+	shares, err := a.inner.SplitSharesInto(secret, k, m, shares)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +271,7 @@ func (a *Authenticated) SplitSharesInto(secret []byte, k, m int, shares []Share)
 	return shares, nil
 }
 
-// CombineInto implements IntoScheme: verify and strip tags without copying
+// CombineInto implements Scheme: verify and strip tags without copying
 // share bodies, then reconstruct with the inner scheme's into path.
 //
 //remicss:noalloc
@@ -310,21 +293,23 @@ func (a *Authenticated) CombineInto(dst []byte, shares []Share, k, m int) ([]byt
 		}
 		st.stripped[i] = Share{Index: s.Index, Data: data}
 	}
-	return CombineInto(a.inner, dst, st.stripped, k, m)
+	return a.inner.CombineInto(dst, st.stripped, k, m)
 }
 
-// SplitSharesInto implements IntoScheme by dispatching on (k, m).
+// SplitSharesInto implements Scheme by dispatching on (k, m).
+//
+//remicss:secret secret
 func (a *Auto) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error) {
 	if err := validate(secret, k, m); err != nil {
 		return nil, err
 	}
-	return SplitInto(a.pick(k, m), secret, k, m, shares)
+	return a.pick(k, m).SplitSharesInto(secret, k, m, shares)
 }
 
-// CombineInto implements IntoScheme by dispatching on (k, m).
+// CombineInto implements Scheme by dispatching on (k, m).
 func (a *Auto) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error) {
 	if k < 1 || m < k {
 		return nil, fmt.Errorf("%w: k=%d, m=%d", ErrInvalidParams, k, m)
 	}
-	return CombineInto(a.pick(k, m), dst, shares, k, m)
+	return a.pick(k, m).CombineInto(dst, shares, k, m)
 }

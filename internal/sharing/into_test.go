@@ -10,13 +10,13 @@ import (
 
 // intoSchemes builds one deterministic instance of every scheme for the
 // given parameters, keyed by name.
-func intoSchemes(t testing.TB) map[string]IntoScheme {
+func intoSchemes(t testing.TB) map[string]Scheme {
 	t.Helper()
 	auth, err := NewAuthenticated(NewShamir(rand.New(rand.NewSource(3))), []byte("test key"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]IntoScheme{
+	return map[string]Scheme{
 		"shamir":        NewShamir(rand.New(rand.NewSource(1))),
 		"xor":           NewXOR(rand.New(rand.NewSource(2))),
 		"replication":   Replication{},
@@ -72,8 +72,10 @@ func TestSplitIntoRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSplitIntoMatchesSplit checks the into path and the allocating path
-// produce identical shares from identical randomness.
+// TestSplitIntoMatchesSplit checks that a split into fresh storage (nil
+// shares) and one into recycled storage — more, longer, dirty share buffers
+// left by an earlier split — produce identical shares from identical
+// randomness.
 func TestSplitIntoMatchesSplit(t *testing.T) {
 	for _, name := range []string{"shamir", "xor", "replication", "auto"} {
 		t.Run(name, func(t *testing.T) {
@@ -81,17 +83,24 @@ func TestSplitIntoMatchesSplit(t *testing.T) {
 			secret := []byte("identical across both paths")
 			a := intoSchemes(t)[name]
 			b := intoSchemes(t)[name]
-			split, err := a.Split(secret, k, m)
+			fresh, err := a.SplitSharesInto(secret, k, m, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			into, err := b.SplitSharesInto(secret, k, m, nil)
+			recycled := make([]Share, m+2)
+			for i := range recycled {
+				recycled[i] = Share{Index: 99, Data: bytes.Repeat([]byte{0xee}, 2*len(secret))}
+			}
+			into, err := b.SplitSharesInto(secret, k, m, recycled)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range split {
-				if split[i].Index != into[i].Index || !bytes.Equal(split[i].Data, into[i].Data) {
-					t.Fatalf("share %d differs between Split and SplitSharesInto", i)
+			if len(into) != len(fresh) {
+				t.Fatalf("%d shares on recycled storage, %d on fresh", len(into), len(fresh))
+			}
+			for i := range fresh {
+				if fresh[i].Index != into[i].Index || !bytes.Equal(fresh[i].Data, into[i].Data) {
+					t.Fatalf("share %d differs between fresh and recycled storage", i)
 				}
 			}
 		})
@@ -138,8 +147,8 @@ func TestCombineIntoDetectsForgery(t *testing.T) {
 	}
 }
 
-// TestIntoFallback checks the package-level helpers fall back to the
-// allocating methods for schemes outside this package.
+// TestIntoFallback checks the package-level helpers serve a scheme defined
+// outside this package, as a wrapper such as a timing decorator is.
 func TestIntoFallback(t *testing.T) {
 	s := opaqueScheme{inner: NewXOR(rand.New(rand.NewSource(7)))}
 	secret := []byte("fallback")
@@ -152,24 +161,25 @@ func TestIntoFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, secret) {
-		t.Error("fallback roundtrip failed")
+		t.Error("external scheme roundtrip failed")
 	}
 }
 
-// opaqueScheme hides the into methods to exercise the fallback branch.
+// opaqueScheme is a Scheme outside the package's own types, forwarding to
+// an XOR scheme it hides.
 type opaqueScheme struct{ inner *XOR }
 
 // Name implements Scheme.
 func (o opaqueScheme) Name() string { return "opaque" }
 
-// Split implements Scheme.
-func (o opaqueScheme) Split(secret []byte, k, m int) ([]Share, error) {
-	return o.inner.Split(secret, k, m)
+// SplitSharesInto implements Scheme.
+func (o opaqueScheme) SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error) {
+	return o.inner.SplitSharesInto(secret, k, m, shares)
 }
 
-// Combine implements Scheme.
-func (o opaqueScheme) Combine(shares []Share, k, m int) ([]byte, error) {
-	return o.inner.Combine(shares, k, m)
+// CombineInto implements Scheme.
+func (o opaqueScheme) CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error) {
+	return o.inner.CombineInto(dst, shares, k, m)
 }
 
 // TestSteadyStateAllocs pins the zero-allocation steady state of every
@@ -184,7 +194,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	cases := []struct {
 		name     string
-		scheme   IntoScheme
+		scheme   Scheme
 		k, m     int
 		maxSplit float64
 	}{

@@ -43,16 +43,22 @@ type Share struct {
 	Data  []byte //remicss:secret
 }
 
-// Scheme is a (k, m) threshold secret sharing scheme. Split produces m
-// shares of which any k reconstruct the secret via Combine with the same k.
+// Scheme is a (k, m) threshold secret sharing scheme: SplitSharesInto
+// produces m shares of which any k reconstruct the secret via CombineInto
+// with the same k. Both write into caller-provided storage, so a
+// steady-state sender or receiver cycles one set of buffers instead of
+// allocating per symbol; a caller that wants fresh storage passes nil.
 type Scheme interface {
 	// Name identifies the scheme for logs and benchmarks.
 	Name() string
-	// Split shares secret into m shares with threshold k.
-	Split(secret []byte, k, m int) ([]Share, error)
-	// Combine reconstructs a secret from at least k shares produced by a
-	// Split with threshold k and multiplicity m.
-	Combine(shares []Share, k, m int) ([]byte, error)
+	// SplitSharesInto splits secret into m shares with threshold k, resizing
+	// shares to length m and reusing each element's Data capacity. The
+	// returned slice must be used in place of the input (append semantics).
+	SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error)
+	// CombineInto reconstructs the secret from at least k shares of a split
+	// with threshold k and multiplicity m into dst (resized, capacity
+	// reused) and returns it. Passing nil dst allocates the result.
+	CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error)
 }
 
 func validate(secret []byte, k, m int) error {
@@ -92,18 +98,6 @@ func NewShamir(r io.Reader) *Shamir {
 // Name implements Scheme.
 func (s *Shamir) Name() string { return "shamir" }
 
-// Split implements Scheme.
-//
-//remicss:secret secret
-func (s *Shamir) Split(secret []byte, k, m int) ([]Share, error) {
-	return s.SplitSharesInto(secret, k, m, nil)
-}
-
-// Combine implements Scheme.
-func (s *Shamir) Combine(shares []Share, k, m int) ([]byte, error) {
-	return s.CombineInto(nil, shares, k, m)
-}
-
 // XOR is the perfect m-of-m scheme: shares 0..m-2 are uniform random pads
 // and share m-1 is the secret XORed with all pads. It only supports k == m,
 // the MICSS configuration.
@@ -123,18 +117,6 @@ func NewXOR(r io.Reader) *XOR {
 // Name implements Scheme.
 func (x *XOR) Name() string { return "xor" }
 
-// Split implements Scheme.
-//
-//remicss:secret secret
-func (x *XOR) Split(secret []byte, k, m int) ([]Share, error) {
-	return x.SplitSharesInto(secret, k, m, nil)
-}
-
-// Combine implements Scheme.
-func (x *XOR) Combine(shares []Share, k, m int) ([]byte, error) {
-	return x.CombineInto(nil, shares, k, m)
-}
-
 // Replication is the degenerate k=1 scheme: every share is a copy of the
 // secret. It provides no confidentiality and maximal loss resilience; it is
 // the correct fast path when the schedule picks k=1.
@@ -142,18 +124,6 @@ type Replication struct{}
 
 // Name implements Scheme.
 func (Replication) Name() string { return "replication" }
-
-// Split implements Scheme.
-//
-//remicss:secret secret
-func (r Replication) Split(secret []byte, k, m int) ([]Share, error) {
-	return r.SplitSharesInto(secret, k, m, nil)
-}
-
-// Combine implements Scheme.
-func (r Replication) Combine(shares []Share, k, m int) ([]byte, error) {
-	return r.CombineInto(nil, shares, k, m)
-}
 
 // Auto dispatches to the cheapest correct scheme for each (k, m):
 // Replication at k=1, XOR at k=m (and k>1), Shamir otherwise.
@@ -180,34 +150,5 @@ func (a *Auto) pick(k, m int) Scheme {
 		return a.xor
 	default:
 		return a.shamir
-	}
-}
-
-// Split implements Scheme.
-//
-//remicss:secret secret
-func (a *Auto) Split(secret []byte, k, m int) ([]Share, error) {
-	return a.SplitSharesInto(secret, k, m, nil)
-}
-
-// Combine implements Scheme.
-func (a *Auto) Combine(shares []Share, k, m int) ([]byte, error) {
-	return a.CombineInto(nil, shares, k, m)
-}
-
-// ShareOverhead reports the per-share byte overhead a scheme adds on top of
-// the secret length for the given parameters. Shamir shares carry one extra
-// x-coordinate byte; XOR and replication add nothing.
-func ShareOverhead(s Scheme, k, m int) int {
-	switch s.(type) {
-	case *Shamir:
-		return 1
-	case *Auto:
-		if k > 1 && k < m {
-			return 1
-		}
-		return 0
-	default:
-		return 0
 	}
 }

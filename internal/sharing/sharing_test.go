@@ -39,14 +39,14 @@ func TestRoundtripAllSchemes(t *testing.T) {
 				if !supports(name, k, m) {
 					continue
 				}
-				shares, err := s.Split(secret, k, m)
+				shares, err := s.SplitSharesInto(secret, k, m, nil)
 				if err != nil {
 					t.Fatalf("%s Split(k=%d,m=%d): %v", name, k, m, err)
 				}
 				if len(shares) != m {
 					t.Fatalf("%s: got %d shares, want %d", name, len(shares), m)
 				}
-				got, err := s.Combine(shares[:k], k, m)
+				got, err := s.CombineInto(nil, shares[:k], k, m)
 				if err != nil {
 					t.Fatalf("%s Combine(k=%d,m=%d): %v", name, k, m, err)
 				}
@@ -60,21 +60,21 @@ func TestRoundtripAllSchemes(t *testing.T) {
 
 func TestXORRequiresAllShares(t *testing.T) {
 	x := NewXOR(rand.New(rand.NewSource(1)))
-	shares, err := x.Split([]byte("pad"), 3, 3)
+	shares, err := x.SplitSharesInto([]byte("pad"), 3, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.Combine(shares[:2], 3, 3); !errors.Is(err, ErrTooFewShares) {
+	if _, err := x.CombineInto(nil, shares[:2], 3, 3); !errors.Is(err, ErrTooFewShares) {
 		t.Errorf("Combine with 2 of 3: got %v, want ErrTooFewShares", err)
 	}
 }
 
 func TestXORRejectsThresholdBelowM(t *testing.T) {
 	x := NewXOR(nil)
-	if _, err := x.Split([]byte("s"), 2, 3); !errors.Is(err, ErrUnsupported) {
+	if _, err := x.SplitSharesInto([]byte("s"), 2, 3, nil); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("got %v, want ErrUnsupported", err)
 	}
-	if _, err := x.Combine(nil, 2, 3); !errors.Is(err, ErrUnsupported) {
+	if _, err := x.CombineInto(nil, nil, 2, 3); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("got %v, want ErrUnsupported", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestXORSharesLookRandom(t *testing.T) {
 	// Verify the final share is not the plaintext for a long secret.
 	x := NewXOR(rand.New(rand.NewSource(2)))
 	secret := bytes.Repeat([]byte("A"), 1024)
-	shares, err := x.Split(secret, 2, 2)
+	shares, err := x.SplitSharesInto(secret, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,19 +98,19 @@ func TestXORSharesLookRandom(t *testing.T) {
 
 func TestReplicationRejectsThresholdAboveOne(t *testing.T) {
 	r := Replication{}
-	if _, err := r.Split([]byte("s"), 2, 3); !errors.Is(err, ErrUnsupported) {
+	if _, err := r.SplitSharesInto([]byte("s"), 2, 3, nil); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("got %v, want ErrUnsupported", err)
 	}
 }
 
 func TestReplicationDetectsDisagreement(t *testing.T) {
 	r := Replication{}
-	shares, err := r.Split([]byte("abc"), 1, 3)
+	shares, err := r.SplitSharesInto([]byte("abc"), 1, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shares[1].Data[0] ^= 0xFF
-	if _, err := r.Combine(shares, 1, 3); err == nil {
+	if _, err := r.CombineInto(nil, shares, 1, 3); err == nil {
 		t.Error("Combine accepted disagreeing replicas")
 	}
 }
@@ -144,12 +144,12 @@ func TestAutoRoundtripQuick(t *testing.T) {
 		}
 		m := int(mSeed)%6 + 1
 		k := int(kSeed)%m + 1
-		shares, err := a.Split(secret, k, m)
+		shares, err := a.SplitSharesInto(secret, k, m, nil)
 		if err != nil {
 			return false
 		}
 		rng.Shuffle(len(shares), func(i, j int) { shares[i], shares[j] = shares[j], shares[i] })
-		got, err := a.Combine(shares[:k], k, m)
+		got, err := a.CombineInto(nil, shares[:k], k, m)
 		if err != nil {
 			return false
 		}
@@ -162,50 +162,29 @@ func TestAutoRoundtripQuick(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	a := NewAuto(nil)
-	if _, err := a.Split(nil, 1, 1); !errors.Is(err, ErrEmptySecret) {
+	if _, err := a.SplitSharesInto(nil, 1, 1, nil); !errors.Is(err, ErrEmptySecret) {
 		t.Errorf("empty secret: got %v", err)
 	}
-	if _, err := a.Split([]byte("x"), 0, 1); !errors.Is(err, ErrInvalidParams) {
+	if _, err := a.SplitSharesInto([]byte("x"), 0, 1, nil); !errors.Is(err, ErrInvalidParams) {
 		t.Errorf("k=0: got %v", err)
 	}
-	if _, err := a.Split([]byte("x"), 3, 2); !errors.Is(err, ErrInvalidParams) {
+	if _, err := a.SplitSharesInto([]byte("x"), 3, 2, nil); !errors.Is(err, ErrInvalidParams) {
 		t.Errorf("k>m: got %v", err)
 	}
-	if _, err := a.Combine(nil, 0, 0); !errors.Is(err, ErrInvalidParams) {
+	if _, err := a.CombineInto(nil, nil, 0, 0); !errors.Is(err, ErrInvalidParams) {
 		t.Errorf("combine k=0: got %v", err)
 	}
 }
 
 func TestDuplicateIndexRejected(t *testing.T) {
 	a := NewAuto(rand.New(rand.NewSource(5)))
-	shares, err := a.Split([]byte("dup"), 2, 3)
+	shares, err := a.SplitSharesInto([]byte("dup"), 2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := []Share{shares[0], {Index: shares[0].Index, Data: shares[1].Data}}
-	if _, err := a.Combine(bad, 2, 3); !errors.Is(err, ErrDuplicateIndex) {
+	if _, err := a.CombineInto(nil, bad, 2, 3); !errors.Is(err, ErrDuplicateIndex) {
 		t.Errorf("got %v, want ErrDuplicateIndex", err)
-	}
-}
-
-func TestShareOverhead(t *testing.T) {
-	cases := []struct {
-		scheme Scheme
-		k, m   int
-		want   int
-	}{
-		{NewShamir(nil), 2, 3, 1},
-		{NewXOR(nil), 3, 3, 0},
-		{Replication{}, 1, 3, 0},
-		{NewAuto(nil), 2, 3, 1},
-		{NewAuto(nil), 3, 3, 0},
-		{NewAuto(nil), 1, 3, 0},
-	}
-	for _, tc := range cases {
-		if got := ShareOverhead(tc.scheme, tc.k, tc.m); got != tc.want {
-			t.Errorf("ShareOverhead(%s, %d, %d) = %d, want %d",
-				tc.scheme.Name(), tc.k, tc.m, got, tc.want)
-		}
 	}
 }
 
@@ -217,7 +196,7 @@ func TestShareLengthsEqualAcrossShares(t *testing.T) {
 			if !supports(name, k, m) {
 				continue
 			}
-			shares, err := s.Split([]byte("equal length"), k, m)
+			shares, err := s.SplitSharesInto([]byte("equal length"), k, m, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -235,7 +214,7 @@ func BenchmarkAutoSplitXOR5of5(b *testing.B) {
 	secret := bytes.Repeat([]byte{0xCC}, 1400)
 	b.SetBytes(int64(len(secret)))
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Split(secret, 5, 5); err != nil {
+		if _, err := a.SplitSharesInto(secret, 5, 5, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,7 +225,7 @@ func BenchmarkShamirSplit5of5(b *testing.B) {
 	secret := bytes.Repeat([]byte{0xCC}, 1400)
 	b.SetBytes(int64(len(secret)))
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Split(secret, 5, 5); err != nil {
+		if _, err := s.SplitSharesInto(secret, 5, 5, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

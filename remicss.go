@@ -358,12 +358,12 @@ func NewSharingScheme(r io.Reader) SharingScheme {
 // Split shares a secret with threshold k of m using the production scheme
 // and crypto/rand randomness.
 func Split(secret []byte, k, m int) ([]sharing.Share, error) {
-	return sharing.NewAuto(nil).Split(secret, k, m)
+	return sharing.NewAuto(nil).SplitSharesInto(secret, k, m, nil)
 }
 
 // Combine reconstructs a secret from at least k shares of a (k, m) split.
 func Combine(shares []sharing.Share, k, m int) ([]byte, error) {
-	return sharing.NewAuto(nil).Combine(shares, k, m)
+	return sharing.NewAuto(nil).CombineInto(nil, shares, k, m)
 }
 
 // Share is one share of a split secret.

@@ -119,6 +119,11 @@ func Connect(addrs []string, cfg SessionConfig) (*Client, error) {
 		return nil, err
 	}
 	p := cfg.params(len(addrs))
+	// Each share of a symbol needs a channel of its own: a μ above the
+	// address count would stall every Send (or, with Health, be clamped).
+	if err := p.Validate(make(ChannelSet, len(addrs))); err != nil {
+		return nil, fmt.Errorf("remicss: %w", err)
+	}
 	seed := cfg.Seed
 	if seed == 0 {
 		var raw [8]byte

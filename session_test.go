@@ -507,6 +507,30 @@ func TestConnectErrorsStopDrain(t *testing.T) {
 	checkNoGoroutineLeft(t, before, "failed Connects")
 }
 
+// TestConnectRejectsMuAboveChannels pins that Connect refuses, before it
+// dials, a multiplicity its channels cannot carry: μ = 4 over three
+// addresses would leave the dynamic chooser waiting for a fourth channel on
+// every Send, and the health chooser clamping m without a word.
+func TestConnectRejectsMuAboveChannels(t *testing.T) {
+	addrs := []string{"127.0.0.1:9", "127.0.0.1:10", "127.0.0.1:11"}
+	for _, tc := range []struct {
+		name string
+		cfg  remicss.SessionConfig
+	}{
+		{"dynamic", remicss.SessionConfig{Params: remicss.Params{Kappa: 2, Mu: 4}}},
+		{"health", remicss.SessionConfig{Params: remicss.Params{Kappa: 2, Mu: 4}, Health: &remicss.HealthConfig{}}},
+	} {
+		c, err := remicss.Connect(addrs, tc.cfg)
+		if err == nil {
+			c.Close()
+			t.Fatalf("%s: Connect accepted μ=4 over 3 channels", tc.name)
+		}
+		if !errors.Is(err, remicss.ErrInvalidParams) {
+			t.Fatalf("%s: Connect error %v, want ErrInvalidParams", tc.name, err)
+		}
+	}
+}
+
 // TestClientSendSteadyStateAllocs pins Client.Send at zero allocations per
 // call once warm, on the inline path (a pause before each Send) and the
 // queued one (back to back), for tiny and 16 KiB messages. Nothing reads the
