@@ -111,7 +111,7 @@ func (p *Pool) NewSender(cfg remicss.SenderConfig, id uint64) (*remicss.Sender, 
 
 // enqueue copies the datagram into queue i, flushing the queue if it
 // reached the batch threshold. The copy is mandatory: the remicss sender
-// recycles its marshal buffer, so the queue must own the bytes it holds.
+// recycles its datagram buffers, so the queue must own the bytes it holds.
 func (p *Pool) enqueue(i int, datagram []byte) bool {
 	if burst, _ := p.queues[i].Put(datagram, p.batch, math.MaxInt); burst != nil {
 		p.flushBurst(i, burst)

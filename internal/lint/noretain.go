@@ -6,7 +6,7 @@ import (
 )
 
 // NoRetainAnalyzer enforces the Link "no datagram retention" contract: the
-// sender reuses one marshal buffer for every share, and the transport
+// sender reuses its datagram buffers from symbol to symbol, and the transport
 // readers reuse one receive buffer per socket, so an implementation that
 // stores the datagram slice (or a subslice of it) corrupts later traffic.
 //

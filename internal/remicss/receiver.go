@@ -29,19 +29,32 @@ const closedMemoryFactor = 4
 // snapshot assembled from the receiver's metric registry; the registry
 // itself (see Receiver.Metrics) additionally exposes a one-way delay
 // histogram, a datagram total, and a pending gauge.
+//
+// Each datagram lands in exactly one of the four Shares counters, decided in
+// this order: a header that does not parse is invalid; then, from the header
+// before the checksum is looked at, a share the replay window refuses is
+// late, one whose (k, m) disagree with its symbol's is invalid and one whose
+// index is held is a duplicate; a share whose checksum fails is invalid; the
+// rest are received.
 type ReceiverStats struct {
-	// SharesReceived counts structurally valid shares accepted into
-	// reassembly.
+	// SharesReceived counts shares accepted into reassembly: checksum
+	// verified, consistent with their symbol, index not yet held.
 	SharesReceived int64
-	// SharesInvalid counts datagrams rejected by wire parsing or with
-	// parameters inconsistent with the symbol's first share.
+	// SharesInvalid counts datagrams whose header does not parse (too
+	// short, bad magic, version or length field, bad (k, m, index), or M
+	// above 32), whose (k, m) disagree with the symbol's first accepted
+	// share, or whose checksum fails. A corrupted datagram whose header
+	// reads late or duplicate is counted there instead. An authentication
+	// tag failure is not counted here but in CombineFailures.
 	SharesInvalid int64
-	// SharesDuplicate counts shares for an index already held.
+	// SharesDuplicate counts shares for an index already held, read from
+	// the header before the checksum.
 	SharesDuplicate int64
-	// SharesLate counts shares the replay window refused: their symbol was
-	// already delivered, or its seq lies closedMemoryFactor × MaxPending or
-	// more behind the highest delivered. A share of an evicted incomplete
-	// symbol is not late: it re-admits the seq.
+	// SharesLate counts shares the replay window refused, read from the
+	// header before the checksum: their symbol was already delivered, or
+	// its seq lies closedMemoryFactor × MaxPending or more behind the
+	// highest delivered. A share of an evicted incomplete symbol is not
+	// late: it re-admits the seq.
 	SharesLate int64
 	// SymbolsDelivered counts symbols reconstructed and handed to the
 	// callback.
@@ -49,8 +62,10 @@ type ReceiverStats struct {
 	// SymbolsEvicted counts incomplete symbols dropped by timeout or
 	// memory pressure.
 	SymbolsEvicted int64
-	// CombineFailures counts reconstruction errors (corrupt share data
-	// that passed the checksum, or scheme mismatch).
+	// CombineFailures counts reconstruction errors: share data that passed
+	// the checksum but not the scheme, such as an authentication tag that
+	// fails under a mismatched key or on a forged share, or a scheme
+	// mismatch.
 	CombineFailures int64
 }
 
@@ -142,11 +157,17 @@ const maxReceiverShards = 64
 // locks.
 //
 // Steady-state ingest allocates once per symbol, the reconstructed secret,
-// which the callback owns. A share's payload is copied out of the transport's
-// datagram into a buffer its symbol's entry owns. The entry leaves the shard
-// the moment the symbol is delivered, fails to combine or is evicted, taking
-// its buffers into the process-wide entryPool, where the next symbol of
-// any receiver overwrites them; of a delivered symbol a shard keeps one bit.
+// which the callback owns. A datagram is classified from its header first:
+// a share whose symbol is delivered or whose index is held costs a header
+// read and no checksum. A share that can help has its checksum verified;
+// then, unless it completes its symbol, its payload is copied out of the
+// transport's datagram into a buffer its symbol's entry owns. The completing
+// share is combined straight from the datagram, which HandleDatagram reads
+// only during the call, so a symbol fills at most k−1 share buffers. The
+// entry leaves the shard the moment the symbol is delivered, fails to
+// combine or is evicted, taking its buffers into the process-wide
+// entryPool, where the next symbol of any receiver overwrites them; of a
+// delivered symbol a shard keeps one bit.
 type Receiver struct {
 	cfg   ReceiverConfig
 	met   receiverMetrics
@@ -395,14 +416,17 @@ func (r *Receiver) HandleDatagram(buf []byte) {
 	r.met.datagrams.Inc()
 	now := r.cfg.Clock()
 
-	// Unmarshal is read-only on buf and needs no lock; only the chosen
-	// shard is locked for the reassembly bookkeeping.
-	pkt, err := wire.Unmarshal(buf)
-	if err != nil {
+	// The header is parsed without the checksum, read-only and outside any
+	// lock; ingest verifies the checksum only of a share that can help.
+	pkt, err := wire.UnmarshalHeader(buf)
+	if err != nil || pkt.M > maxLinks {
+		// The wire format admits indices up to 254 but haveIdx is one bit
+		// per link: a forged wide share would slip past the duplicate
+		// check, so it may neither create nor fill an entry.
 		r.met.sharesInvalid.Inc()
 		return
 	}
-	secret, delay, deliver := r.ingest(r.shardFor(pkt.Seq), &pkt, now)
+	secret, delay, deliver := r.ingest(r.shardFor(pkt.Seq), buf, &pkt, now)
 	if !deliver {
 		return
 	}
@@ -415,18 +439,14 @@ func (r *Receiver) HandleDatagram(buf []byte) {
 	r.deliverMu.Unlock()
 }
 
-// ingest runs the reassembly state machine for one parsed share under its
-// shard's lock. It returns the reconstructed secret when this share
-// completed the symbol; the caller performs the delivery after releasing
-// the shard lock.
-func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duration) ([]byte, time.Duration, bool) {
-	if pkt.M > maxLinks {
-		// The wire format admits indices up to 254 but haveIdx is one bit
-		// per link: a forged wide share would slip past the duplicate
-		// check, so it may neither create nor fill an entry.
-		r.met.sharesInvalid.Inc()
-		return nil, 0, false
-	}
+// ingest runs the reassembly state machine for one share, whose header pkt
+// was parsed from the datagram buf, under its shard's lock. A share that
+// cannot help is counted late, invalid or duplicate from its header alone;
+// dropping on an unverified header only ever drops. Only a share whose
+// checksum verifies creates an entry, sets a held bit or is copied. It
+// returns the reconstructed secret when this share completed the symbol;
+// the caller performs the delivery after releasing the shard lock.
+func (r *Receiver) ingest(sh *recvShard, buf []byte, pkt *wire.SharePacket, now time.Duration) ([]byte, time.Duration, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
@@ -438,50 +458,47 @@ func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duratio
 		r.met.sharesLate.Inc()
 		return nil, 0, false
 	}
-	e, exists := sh.pending[pkt.Seq]
-	if !exists {
-		r.admit(sh)
-		if e = entryPool.Get(); e == nil {
-			e = new(entry)
-		}
-		e.seq = pkt.Seq
-		e.k, e.m = int(pkt.K), int(pkt.M)
-		e.sentAt = pkt.SentAt
-		e.arrived = now
-		e.haveIdx = 0
-		sh.pushNewest(e)
-		sh.pending[pkt.Seq] = e
-		r.met.pending.Add(1)
-		sh.depth.Set(int64(len(sh.pending)))
-	}
-	if int(pkt.K) != e.k || int(pkt.M) != e.m {
+	e := sh.pending[pkt.Seq]
+	if e != nil && (int(pkt.K) != e.k || int(pkt.M) != e.m) {
 		// Shares of one symbol must agree on parameters; the first share
-		// seen wins and inconsistent ones are discarded.
+		// admitted wins and inconsistent ones are discarded.
 		r.met.sharesInvalid.Inc()
 		return nil, 0, false
 	}
-	if e.haveIdx&(1<<uint(pkt.Index)) != 0 {
+	if e != nil && e.haveIdx&(1<<uint(pkt.Index)) != 0 {
 		r.met.sharesDuplicate.Inc()
 		return nil, 0, false
 	}
+	if wire.VerifyChecksum(buf) != nil {
+		r.met.sharesInvalid.Inc()
+		return nil, 0, false
+	}
+	if e == nil {
+		e = r.open(sh, pkt, now)
+	}
 	e.haveIdx |= 1 << uint(pkt.Index)
-	// The copy goes into the buffer the last symbol here left, if it fits.
+	r.met.sharesReceived.Inc()
 	n := len(e.shares)
 	if n == cap(e.shares) {
 		e.shares = append(e.shares, sharing.Share{})
 	}
 	e.shares = e.shares[:n+1]
-	e.shares[n].Index = int(pkt.Index)
-	e.shares[n].Data = append(e.shares[n].Data[:0], pkt.Payload...)
-	r.met.sharesReceived.Inc()
-
-	if len(e.shares) < e.k {
+	slot := &e.shares[n]
+	slot.Index = int(pkt.Index)
+	if n+1 < e.k {
+		// The copy goes into the buffer the last symbol here left, if it fits.
+		slot.Data = append(slot.Data[:0], pkt.Payload...)
 		return nil, 0, false
 	}
-	// A nil destination makes CombineInto allocate a fresh secret, whose
-	// ownership transfers to the callback (downstream consumers such as
-	// stream.Orderer retain payloads).
+	// The completing share is combined from the datagram itself, which is
+	// readable for the duration of the call; the slot's own buffer goes back
+	// before the entry is pooled. A nil destination makes CombineInto
+	// allocate a fresh secret, whose ownership transfers to the callback
+	// (downstream consumers such as stream.Orderer retain payloads).
+	own := slot.Data
+	slot.Data = pkt.Payload
 	secret, err := sharing.CombineInto(r.cfg.Scheme, nil, e.shares, e.k, e.m)
+	slot.Data = own
 	delay := now - time.Duration(e.sentAt)
 	r.remove(sh, e)
 	if err != nil {
@@ -496,8 +513,34 @@ func (r *Receiver) ingest(sh *recvShard, pkt *wire.SharePacket, now time.Duratio
 	return secret, delay, true
 }
 
-// Tick performs timeout eviction across every shard; call it periodically
-// when no datagrams are arriving so stale entries do not linger.
+// open admits a pooled entry for pkt's symbol, first making room under the
+// shard's slice of the memory cap; pkt's (k, m) become the symbol's.
+// Callers hold sh.mu.
+func (r *Receiver) open(sh *recvShard, pkt *wire.SharePacket, now time.Duration) *entry {
+	r.admit(sh)
+	e := entryPool.Get()
+	if e == nil {
+		e = new(entry)
+	}
+	e.seq = pkt.Seq
+	e.k, e.m = int(pkt.K), int(pkt.M)
+	e.sentAt = pkt.SentAt
+	e.arrived = now
+	e.haveIdx = 0
+	sh.pushNewest(e)
+	sh.pending[pkt.Seq] = e
+	r.met.pending.Add(1)
+	sh.depth.Set(int64(len(sh.pending)))
+	return e
+}
+
+// Tick performs timeout eviction across every shard. Ingest evicts only in
+// the shard a datagram lands in, so a quiet receiver keeps its incomplete
+// symbols, their share buffers and the pending gauge until traffic returns
+// unless something ticks it. Serve runs a ticker; a caller who builds a
+// receiver with NewReceiver, as on the gateway path, must call Tick
+// periodically itself (every half timeout bounds a symbol's stay at 1.5
+// timeouts).
 func (r *Receiver) Tick() {
 	now := r.cfg.Clock()
 	for i := range r.shards {

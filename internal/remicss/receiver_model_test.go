@@ -15,7 +15,7 @@ import (
 
 // modelReceiver is the reassembly specification the real Receiver is held
 // to: plain maps and slices, no pooling, no rings, no bitmaps. The first
-// share of a seq fixes (k, m); each seq keeps the set of indices it holds; a
+// share of a seq whose checksum verifies fixes (k, m); each seq keeps the set of indices it holds; a
 // seq that reaches k shares leaves at once, delivered or — when the shares do
 // not combine — forgotten; incomplete seqs leave oldest-first, by timeout on
 // their first share's arrival or under the per-shard cap, and are forgotten
@@ -102,8 +102,12 @@ func (m *modelReceiver) tick(now time.Duration) {
 	}
 }
 
+// handle classifies a datagram from its header first, as the receiver
+// does: structure and parameters, then late, then against the seq's entry
+// ((k, m) and the held index). Only then is the checksum verified, and only a
+// share that passes it opens an entry or is held.
 func (m *modelReceiver) handle(buf []byte, now time.Duration) {
-	pkt, err := wire.Unmarshal(buf)
+	pkt, err := wire.UnmarshalHeader(buf)
 	if err != nil || pkt.M > maxLinks {
 		m.stats.SharesInvalid++
 		return
@@ -115,7 +119,17 @@ func (m *modelReceiver) handle(buf []byte, now time.Duration) {
 		return
 	}
 	e := sh.entries[pkt.Seq]
-	if e == nil {
+	switch {
+	case e != nil && (int(pkt.K) != e.k || int(pkt.M) != e.m):
+		m.stats.SharesInvalid++
+		return
+	case e != nil && e.have[int(pkt.Index)]:
+		m.stats.SharesDuplicate++
+		return
+	case wire.VerifyChecksum(buf) != nil:
+		m.stats.SharesInvalid++
+		return
+	case e == nil:
 		for len(sh.order) >= m.perShard {
 			m.evictOldest(sh)
 		}
@@ -123,29 +137,22 @@ func (m *modelReceiver) handle(buf []byte, now time.Duration) {
 		sh.entries[pkt.Seq] = e
 		sh.order = append(sh.order, pkt.Seq)
 	}
-	switch {
-	case int(pkt.K) != e.k || int(pkt.M) != e.m:
-		m.stats.SharesInvalid++
-	case e.have[int(pkt.Index)]:
-		m.stats.SharesDuplicate++
-	default:
-		m.stats.SharesReceived++
-		e.have[int(pkt.Index)] = true
-		e.shares = append(e.shares, sharing.Share{Index: int(pkt.Index), Data: bytes.Clone(pkt.Payload)})
-		if len(e.shares) < e.k {
-			return
-		}
-		sh.forget(pkt.Seq)
-		secret, err := m.scheme.CombineInto(nil, e.shares, e.k, e.m)
-		if err != nil {
-			m.stats.CombineFailures++
-			return
-		}
-		sh.delivered[pkt.Seq] = true
-		sh.top = max(sh.top, pkt.Seq)
-		m.stats.SymbolsDelivered++
-		m.deliver(pkt.Seq, secret)
+	m.stats.SharesReceived++
+	e.have[int(pkt.Index)] = true
+	e.shares = append(e.shares, sharing.Share{Index: int(pkt.Index), Data: bytes.Clone(pkt.Payload)})
+	if len(e.shares) < e.k {
+		return
 	}
+	sh.forget(pkt.Seq)
+	secret, err := m.scheme.CombineInto(nil, e.shares, e.k, e.m)
+	if err != nil {
+		m.stats.CombineFailures++
+		return
+	}
+	sh.delivered[pkt.Seq] = true
+	sh.top = max(sh.top, pkt.Seq)
+	m.stats.SymbolsDelivered++
+	m.deliver(pkt.Seq, secret)
 }
 
 // Script opcodes. A script is one configuration byte followed by 3-byte

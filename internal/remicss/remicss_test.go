@@ -399,6 +399,182 @@ func TestReceiverRejectsCorruptAndInconsistent(t *testing.T) {
 	}
 }
 
+// marshalShares splits secret k-of-m under scheme and marshals each share as
+// seq's datagram.
+func marshalShares(t *testing.T, scheme sharing.Scheme, secret []byte, seq uint64, k, m int) [][]byte {
+	t.Helper()
+	shares, err := scheme.SplitSharesInto(secret, k, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dgrams := make([][]byte, m)
+	for i, sh := range shares {
+		dgrams[i], err = wire.AppendMarshal(nil, wire.SharePacket{
+			Seq: seq, K: uint8(k), M: uint8(m), Index: uint8(sh.Index), Payload: sh.Data,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dgrams
+}
+
+// corrupt returns a copy of dgram with its last payload byte flipped, which
+// its checksum no longer covers.
+func corrupt(dgram []byte) []byte {
+	bad := bytes.Clone(dgram)
+	bad[len(bad)-1] ^= 0x40
+	return bad
+}
+
+// TestReceiverClassifiesSurplusFromHeader checks that a share which cannot
+// help is counted from its header before its checksum is looked at: a
+// corrupted share of a delivered symbol is late, a corrupted copy of a held
+// index is a duplicate, and neither counts invalid.
+func TestReceiverClassifiesSurplusFromHeader(t *testing.T) {
+	scheme := sharing.NewAuto(rand.New(rand.NewSource(14)))
+	recv, err := NewReceiver(ReceiverConfig{
+		Scheme:   scheme,
+		Clock:    func() time.Duration { return 0 },
+		OnSymbol: func(uint64, []byte, time.Duration) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := marshalShares(t, scheme, []byte("delivered"), 1, 2, 3)
+	recv.HandleDatagram(done[0])
+	recv.HandleDatagram(done[1])
+	recv.HandleDatagram(corrupt(done[2]))
+	filling := marshalShares(t, scheme, []byte("filling"), 2, 2, 3)
+	recv.HandleDatagram(filling[0])
+	recv.HandleDatagram(corrupt(filling[0]))
+	want := ReceiverStats{SharesReceived: 3, SharesLate: 1, SharesDuplicate: 1, SymbolsDelivered: 1}
+	if st := recv.Stats(); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+	// The same corrupted datagram of a share that could help is invalid.
+	recv.HandleDatagram(corrupt(filling[1]))
+	if st := recv.Stats(); st.SharesInvalid != 1 || st.SymbolsDelivered != 1 {
+		t.Errorf("after a corrupted useful share: %+v, want 1 invalid and still 1 delivered", st)
+	}
+}
+
+// TestReceiverCorruptFirstShareOpensNothing checks that a share failing its
+// checksum creates no entry, so the (k, m) its header claims binds nothing
+// and the honest shares that follow deliver.
+func TestReceiverCorruptFirstShareOpensNothing(t *testing.T) {
+	scheme := sharing.NewAuto(rand.New(rand.NewSource(15)))
+	var got []byte
+	recv, err := NewReceiver(ReceiverConfig{
+		Scheme:   scheme,
+		Clock:    func() time.Duration { return 0 },
+		OnSymbol: func(_ uint64, payload []byte, _ time.Duration) { got = payload },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := marshalShares(t, scheme, []byte("honest"), 5, 2, 3)
+	wrong, err := wire.AppendMarshal(nil, wire.SharePacket{Seq: 5, K: 3, M: 4, Index: 3, Payload: []byte("wrong")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv.HandleDatagram(corrupt(wrong))
+	if st := recv.Stats(); st.SharesInvalid != 1 || recv.Pending() != 0 {
+		t.Fatalf("after a corrupted first share: %+v, %d pending; want 1 invalid, 0 pending", st, recv.Pending())
+	}
+	recv.HandleDatagram(honest[0])
+	recv.HandleDatagram(honest[2])
+	if st := recv.Stats(); st.SymbolsDelivered != 1 || st.SharesInvalid != 1 || !bytes.Equal(got, []byte("honest")) {
+		t.Errorf("honest shares after the corrupted one: %+v, delivered %q; want 1 delivered, 1 invalid, %q", st, got, "honest")
+	}
+}
+
+// TestReceiverSecretOutlivesDatagram checks, for every scheme, that the
+// delivered secret is the callback's own: the completing share is combined
+// straight from the datagram, and overwriting that datagram (as a transport
+// reusing its receive buffer does) after HandleDatagram returns leaves the
+// secret intact.
+func TestReceiverSecretOutlivesDatagram(t *testing.T) {
+	auth, err := sharing.NewAuthenticated(sharing.NewAuto(rand.New(rand.NewSource(16))), []byte("outlive key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		scheme sharing.Scheme
+		k, m   int
+	}{
+		{"replication-1of3", sharing.NewAuto(rand.New(rand.NewSource(16))), 1, 3},
+		{"xor-3of3", sharing.NewAuto(rand.New(rand.NewSource(16))), 3, 3},
+		{"shamir-3of5", sharing.NewAuto(rand.New(rand.NewSource(16))), 3, 5},
+		{"auth-3of5", auth, 3, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			secret := bytes.Repeat([]byte("outlive"), 40)
+			var got []byte
+			recv, err := NewReceiver(ReceiverConfig{
+				Scheme:   tc.scheme,
+				Clock:    func() time.Duration { return 0 },
+				OnSymbol: func(_ uint64, payload []byte, _ time.Duration) { got = payload },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One receive buffer for every datagram, as a transport reader has.
+			buf := make([]byte, 0, 1<<10)
+			for _, d := range marshalShares(t, tc.scheme, secret, 9, tc.k, tc.m)[:tc.k] {
+				buf = append(buf[:0], d...)
+				recv.HandleDatagram(buf)
+			}
+			if !bytes.Equal(got, secret) {
+				t.Fatalf("delivered %q, want %q", got, secret)
+			}
+			for i := range buf {
+				buf[i] = 0xFF
+			}
+			for _, d := range marshalShares(t, tc.scheme, []byte("next symbol"), 10, tc.k, tc.m)[:tc.k] {
+				buf = append(buf[:0], d...)
+				recv.HandleDatagram(buf)
+			}
+			if !bytes.Equal(got, []byte("next symbol")) {
+				t.Fatalf("second symbol delivered %q", got)
+			}
+		})
+	}
+}
+
+// TestReceiverNeverWritesDatagram checks that HandleDatagram leaves every
+// datagram as it was, also after the entry whose completing share was
+// combined from one goes on to hold shares of a symbol with a larger k.
+func TestReceiverNeverWritesDatagram(t *testing.T) {
+	scheme := sharing.NewAuto(rand.New(rand.NewSource(17)))
+	recv, err := NewReceiver(ReceiverConfig{
+		Scheme:   scheme,
+		Clock:    func() time.Duration { return 0 },
+		OnSymbol: func(uint64, []byte, time.Duration) {},
+		Shards:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fed, sent [][]byte
+	for seq := uint64(0); seq < 40; seq++ {
+		k := 2 + int(seq%3)
+		for _, d := range marshalShares(t, scheme, bytes.Repeat([]byte{byte(seq)}, 64), seq, k, 4)[:k] {
+			fed, sent = append(fed, d), append(sent, bytes.Clone(d))
+			recv.HandleDatagram(d)
+		}
+	}
+	if got := recv.Stats().SymbolsDelivered; got != 40 {
+		t.Fatalf("delivered %d of 40 symbols", got)
+	}
+	for i := range fed {
+		if !bytes.Equal(fed[i], sent[i]) {
+			t.Fatalf("datagram %d changed after HandleDatagram returned", i)
+		}
+	}
+}
+
 func TestReceiverTimeoutEviction(t *testing.T) {
 	scheme := sharing.NewAuto(rand.New(rand.NewSource(11)))
 	clock := time.Duration(0)

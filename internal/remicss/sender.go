@@ -117,9 +117,10 @@ func newSenderMetrics(reg *obs.Registry, n int) senderMetrics {
 // its own send lock so concurrent callers fanning out to disjoint links
 // proceed in parallel. Counters are atomic and readable without any lock.
 //
-// The steady-state Send path reuses a scratch's share slices and marshal
-// buffer, so the replication and XOR schemes transmit without heap
-// allocation even with metrics and tracing on; links must therefore not
+// The steady-state Send path reuses a scratch's datagram buffers, one per
+// share, and splits each share straight into its datagram, so every share
+// byte is written once and the replication and XOR schemes transmit without
+// heap allocation even with metrics and tracing on; links must therefore not
 // retain the datagram slice after Send returns (see the Link contract). The
 // scratch belongs to the call, not the sender: claimed from the process-wide
 // sendScratchPool when Send starts, returned when it ends. Idle senders hold
@@ -175,12 +176,34 @@ func getScratch() *sendScratch {
 	return new(sendScratch)
 }
 
-// sendScratch is one Send call's working set: the split output (share
-// payload buffers are recycled by the scheme's into path) and the marshal
-// buffer every share of the symbol passes through.
+// sendScratch is one Send call's working set: the split output and one
+// datagram buffer per share. place points each share's Data at its
+// datagram's payload region, so a scheme that reuses Data capacity (every
+// scheme here) splits the share where it is sent from, and marshalling it
+// writes only the header and checksum.
 type sendScratch struct {
 	shares []sharing.Share
-	dgram  []byte //remicss:secret
+	dgrams [][]byte //remicss:secret
+}
+
+// place readies m shares for a split into the datagrams, whose headers are
+// hdr bytes: share j's Data is the empty slice at dgrams[j][hdr], or nil
+// while that datagram is too small to hold a header (the first use, when
+// the split and the marshal size it).
+//
+//remicss:noalloc
+func (sc *sendScratch) place(m, hdr int) {
+	for len(sc.dgrams) < m {
+		sc.dgrams = append(sc.dgrams, nil)
+	}
+	sc.shares = sc.shares[:0]
+	for _, d := range sc.dgrams[:m] {
+		var data []byte
+		if cap(d) >= hdr {
+			data = d[hdr:hdr]
+		}
+		sc.shares = append(sc.shares, sharing.Share{Data: data})
+	}
 }
 
 // maxLinks is the width of the channel masks (Chooser results, the
@@ -267,6 +290,11 @@ func (s *Sender) Send(payload []byte) error {
 	}
 	m := bits.OnesCount32(mask)
 
+	hdr := wire.HeaderSize
+	if s.cfg.Session != 0 {
+		hdr = wire.HeaderSizeV2
+	}
+	sc.place(m, hdr)
 	shares, err := sharing.SplitInto(s.cfg.Scheme, payload, k, m, sc.shares)
 	if err != nil {
 		return fmt.Errorf("remicss: splitting symbol: %w", err)
@@ -293,25 +321,27 @@ func (s *Sender) Send(payload []byte) error {
 			SentAt:  int64(now),
 			Payload: shares[shareIdx].Data,
 		}
-		// One marshal buffer serves every share: links do not retain the
-		// datagram after Send returns, so it is safe to overwrite.
-		sc.dgram, err = s.marshalShare(sc.dgram[:0], pkt)
+		// The share usually sits in its datagram already, and the marshal
+		// adds the header around it. Links do not retain the datagram after
+		// Send returns, so the next symbol may overwrite it.
+		dgram, err := s.marshalShare(sc.dgrams[shareIdx][:0], pkt)
 		if err != nil {
 			return fmt.Errorf("remicss: encoding share: %w", err)
 		}
+		sc.dgrams[shareIdx] = dgram
 		// Size and events are recorded only after a successful marshal: an
 		// encoding error must not leave a phantom share size in the
 		// histogram.
-		s.met.shareBytes.Observe(int64(len(sc.dgram)))
+		s.met.shareBytes.Observe(int64(len(dgram)))
 		s.linkMu[i].Lock()
-		delivered := s.links[i].Send(sc.dgram) //lint:allow lockorder linkMu[i] exists to serialize this link's Send; transports never call back into the sender
+		delivered := s.links[i].Send(dgram) //lint:allow lockorder linkMu[i] exists to serialize this link's Send; transports never call back into the sender
 		s.linkMu[i].Unlock()
 		if delivered {
 			s.met.perChan[i].sent.Inc()
-			s.trace.Record(obs.EventShareSent, int32(i), now, seq, int64(len(sc.dgram)))
+			s.trace.Record(obs.EventShareSent, int32(i), now, seq, int64(len(dgram)))
 		} else {
 			s.met.perChan[i].dropped.Inc()
-			s.trace.Record(obs.EventDatagramDropped, int32(i), now, seq, int64(len(sc.dgram)))
+			s.trace.Record(obs.EventDatagramDropped, int32(i), now, seq, int64(len(dgram)))
 		}
 		s.health.ObserveSend(i, delivered)
 		shareIdx++

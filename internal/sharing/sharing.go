@@ -52,12 +52,18 @@ type Scheme interface {
 	// Name identifies the scheme for logs and benchmarks.
 	Name() string
 	// SplitSharesInto splits secret into m shares with threshold k, resizing
-	// shares to length m and reusing each element's Data capacity. The
-	// returned slice must be used in place of the input (append semantics).
+	// shares to length m and reusing each element's Data capacity: when that
+	// capacity suffices, share i is written from the start of its Data, so a
+	// caller decides where each share lands (a sender points Data into the
+	// datagram the share travels in). The returned slice must be used in
+	// place of the input (append semantics).
 	SplitSharesInto(secret []byte, k, m int, shares []Share) ([]Share, error)
 	// CombineInto reconstructs the secret from at least k shares of a split
 	// with threshold k and multiplicity m into dst (resized, capacity
-	// reused) and returns it. Passing nil dst allocates the result.
+	// reused) and returns it. Passing nil dst allocates the result. It reads
+	// the shares' Data only during the call, and never writes or retains
+	// it, so Data may alias a buffer the caller does not own (a receiver
+	// combines the completing share straight from its datagram).
 	CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error)
 }
 

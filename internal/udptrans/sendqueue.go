@@ -9,7 +9,7 @@ import (
 // SendQueue is one socket's coalescing buffer, the one queue type of both
 // senders that write a socket in runs: gateway.Pool, and the Coalescer behind
 // the facade client. Senders copy datagrams in with Put — the copy is
-// mandatory, since the remicss sender recycles its marshal buffer — a flush
+// mandatory, since the remicss sender recycles its datagram buffers — a flush
 // swaps the pending list out whole under the lock (Put or Take) and writes it
 // outside it, and Recycle hands the written buffers back. When to flush is
 // the owner's policy; the queue applies the thresholds it is given.

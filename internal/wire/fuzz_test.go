@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -9,7 +10,11 @@ import (
 // that anything it accepts re-marshals to the identical datagram (in the
 // header version the datagram declared), and that parsing never writes to
 // its input — the property concurrent receivers sharing one receive buffer
-// depend on.
+// depend on. UnmarshalHeader must accept whatever Unmarshal accepts, with
+// the identical packet, and where only it accepts, Unmarshal's error must
+// be the checksum's. Every header it accepts must marshal, in both
+// versions, to the same bytes from a payload already in place in the
+// destination as from a fresh one.
 func FuzzUnmarshal(f *testing.F) {
 	good, err := AppendMarshal(nil, SharePacket{
 		Seq: 1, K: 2, M: 3, Index: 1, SentAt: 42, Payload: []byte("seed"),
@@ -60,9 +65,21 @@ func FuzzUnmarshal(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		orig := append([]byte(nil), data...)
+		hpkt, herr := UnmarshalHeader(data)
 		pkt, err := Unmarshal(data)
 		if !bytes.Equal(data, orig) {
-			t.Fatal("Unmarshal mutated its input")
+			t.Fatal("Unmarshal or UnmarshalHeader mutated its input")
+		}
+		switch {
+		case err == nil && herr != nil:
+			t.Fatalf("UnmarshalHeader rejects (%v) a datagram Unmarshal accepts", herr)
+		case err == nil && !samePacket(hpkt, pkt):
+			t.Fatalf("UnmarshalHeader parses %+v, Unmarshal %+v", hpkt, pkt)
+		case err != nil && herr == nil && !errors.Is(err, ErrBadChecksum):
+			t.Fatalf("UnmarshalHeader accepts a datagram Unmarshal rejects with %v, not ErrBadChecksum", err)
+		}
+		if herr == nil {
+			checkMarshalInPlace(t, hpkt)
 		}
 		if err != nil {
 			return
@@ -97,6 +114,49 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("PeekSession = (%d, %v), Unmarshal says session %d", s, ok, pkt.Session)
 		}
 	})
+}
+
+// samePacket reports whether a and b are the identical packet, payload
+// aliasing the same bytes.
+func samePacket(a, b SharePacket) bool {
+	pa, pb := a.Payload, b.Payload
+	return a.Seq == b.Seq && a.Session == b.Session && a.K == b.K && a.M == b.M &&
+		a.Index == b.Index && a.SentAt == b.SentAt &&
+		len(pa) == len(pb) && (len(pa) == 0 || &pa[0] == &pb[0])
+}
+
+// checkMarshalInPlace marshals p in both header versions twice, once from a
+// copy of its payload and once with the payload already at dst[off+hdr:]
+// behind stale header bytes, and fails unless the two datagrams agree and
+// the second was written into dst.
+func checkMarshalInPlace(t *testing.T, p SharePacket) {
+	t.Helper()
+	for _, version := range []byte{Version, VersionSession} {
+		marshal, hdr := AppendMarshal, HeaderSize
+		q := p
+		if version == VersionSession {
+			marshal, hdr = AppendMarshalSession, HeaderSizeV2
+		} else {
+			q.Session = 0
+		}
+		q.Payload = bytes.Clone(p.Payload)
+		fresh, err := marshal(nil, q)
+		if err != nil {
+			t.Fatalf("v%d: accepted header fails to marshal: %v", version, err)
+		}
+		for _, off := range []int{0, 2} {
+			dst := bytes.Repeat([]byte{0xA5}, off+hdr+len(p.Payload))
+			copy(dst[off+hdr:], p.Payload)
+			q.Payload = dst[off+hdr:]
+			out, err := marshal(dst[:off], q)
+			if err != nil {
+				t.Fatalf("v%d: in-place marshal: %v", version, err)
+			}
+			if &out[0] != &dst[0] || !bytes.Equal(out[off:], fresh) {
+				t.Fatalf("v%d, offset %d: in-place marshal differs from a fresh one", version, off)
+			}
+		}
+	}
 }
 
 // FuzzUnmarshalReport checks the report parser never panics, never mutates

@@ -35,7 +35,9 @@
 // The timestamp lets the receiver measure one-way delay against the same
 // clock in simulation, and is the mechanism the paper's delay experiment
 // uses (timestamps embedded in echoed packets). The checksum guards the
-// reassembly buffer against corrupted or truncated datagrams.
+// reassembly buffer against corrupted or truncated datagrams. Unmarshal is
+// UnmarshalHeader followed by VerifyChecksum; a receiver calls the two
+// apart, so a share it would drop on its header costs no checksum.
 package wire
 
 import (
@@ -140,7 +142,11 @@ func AppendMarshalSession(dst []byte, p SharePacket) ([]byte, error) {
 	return appendMarshal(dst, p, VersionSession)
 }
 
-// appendMarshal emits one datagram in the given header version.
+// appendMarshal emits one datagram in the given header version. When the
+// payload already sits where the datagram carries it, at dst[off+hdr] with
+// dst's capacity covering it (a sender that split the share straight into
+// its datagram buffer), only the header and checksum are written; any other
+// payload is copied in.
 //
 //remicss:noalloc
 func appendMarshal(dst []byte, p SharePacket, version byte) ([]byte, error) {
@@ -172,7 +178,9 @@ func appendMarshal(dst []byte, p SharePacket, version byte) ([]byte, error) {
 		binary.BigEndian.PutUint64(buf[24:32], p.Session)
 		crcOff = 32
 	}
-	copy(buf[hdr:], p.Payload)
+	if len(p.Payload) > 0 && &buf[hdr] != &p.Payload[0] {
+		copy(buf[hdr:], p.Payload)
+	}
 	// Checksum over the whole datagram with the checksum field zeroed; a
 	// recycled dst may carry stale bytes there.
 	binary.BigEndian.PutUint32(buf[crcOff:crcOff+4], 0)
@@ -197,21 +205,43 @@ func checksum(buf []byte, crcOff int) uint32 {
 	return crc32.Update(sum, castagnoli, buf[crcOff+4:])
 }
 
-// Unmarshal parses and verifies a datagram of either header version. The
-// input is strictly read-only (checksum verification reconstructs the
-// zeroed-field CRC incrementally rather than patching the buffer), so
-// concurrent receivers may parse buffers they do not own. The returned
-// packet's payload aliases the input; callers that retain it must copy.
+// Unmarshal parses and verifies a datagram of either header version:
+// UnmarshalHeader, then VerifyChecksum. The input is strictly read-only
+// (checksum verification reconstructs the zeroed-field CRC incrementally
+// rather than patching the buffer), so concurrent receivers may parse
+// buffers they do not own. The returned packet's payload aliases the input;
+// callers that retain it must copy.
 //
 //remicss:noalloc
 func Unmarshal(buf []byte) (SharePacket, error) {
+	p, err := UnmarshalHeader(buf)
+	if err != nil {
+		return SharePacket{}, err
+	}
+	if err := VerifyChecksum(buf); err != nil {
+		return SharePacket{}, err
+	}
+	return p, nil
+}
+
+// UnmarshalHeader parses a datagram of either header version without
+// verifying its checksum: it checks the structure (long enough, magic,
+// known version, a length field matching what the datagram carries) and the
+// parameters. A receiver reads from the header alone whether a share can
+// still help — its symbol delivered or its index held — and pays for
+// VerifyChecksum only when it can; nothing read this way may be trusted
+// beyond dropping the datagram. The input is read-only, and the payload
+// aliases it.
+//
+//remicss:noalloc
+func UnmarshalHeader(buf []byte) (SharePacket, error) {
 	if len(buf) < HeaderSize {
 		return SharePacket{}, fmt.Errorf("%w: %d bytes", ErrTooShort, len(buf))
 	}
 	if buf[0] != magic[0] || buf[1] != magic[1] {
 		return SharePacket{}, ErrBadMagic
 	}
-	hdr, crcOff := HeaderSize, 24
+	hdr := HeaderSize
 	var session uint64
 	switch buf[2] {
 	case Version:
@@ -219,7 +249,7 @@ func Unmarshal(buf []byte) (SharePacket, error) {
 		if len(buf) < HeaderSizeV2 {
 			return SharePacket{}, fmt.Errorf("%w: %d bytes for a v2 header", ErrTooShort, len(buf))
 		}
-		hdr, crcOff = HeaderSizeV2, 32
+		hdr = HeaderSizeV2
 		session = binary.BigEndian.Uint64(buf[24:32])
 	default:
 		return SharePacket{}, fmt.Errorf("%w: %d", ErrBadVersion, buf[2])
@@ -228,9 +258,6 @@ func Unmarshal(buf []byte) (SharePacket, error) {
 	if len(buf) != hdr+payloadLen {
 		return SharePacket{}, fmt.Errorf("%w: header says %d, datagram carries %d",
 			ErrBadLength, payloadLen, len(buf)-hdr)
-	}
-	if binary.BigEndian.Uint32(buf[crcOff:crcOff+4]) != checksum(buf, crcOff) {
-		return SharePacket{}, ErrBadChecksum
 	}
 	p := SharePacket{
 		Seq:     binary.BigEndian.Uint64(buf[8:16]),
@@ -247,10 +274,27 @@ func Unmarshal(buf []byte) (SharePacket, error) {
 	return p, nil
 }
 
+// VerifyChecksum returns ErrBadChecksum unless buf's CRC-32C matches its
+// contents. buf must be a datagram UnmarshalHeader accepted; it is only
+// read.
+//
+//remicss:noalloc
+//remicss:readonly
+func VerifyChecksum(buf []byte) error {
+	crcOff := 24
+	if buf[2] == VersionSession {
+		crcOff = 32
+	}
+	if binary.BigEndian.Uint32(buf[crcOff:crcOff+4]) != checksum(buf, crcOff) {
+		return ErrBadChecksum
+	}
+	return nil
+}
+
 // PeekSession extracts the session ID from a datagram without parsing or
 // checksumming it: the gateway's per-socket ingest goroutines route every
-// datagram by session before the owning session's receiver does the full
-// (CRC-verified) Unmarshal, so the dispatch cost must stay at a few
+// datagram by session before the owning session's receiver parses and
+// checksums it, so the dispatch cost must stay at a few
 // fixed-offset reads. A v1 datagram reports session 0 (the legacy,
 // unaddressed session); ok is false when the buffer cannot be a share
 // datagram of either version (too short, wrong magic, unknown version) —

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"remicss/internal/remicss"
 	"remicss/internal/udptrans"
 )
 
@@ -298,6 +299,12 @@ func (c *Client) Close() error {
 type Server struct {
 	listener *UDPListener
 	receiver *Receiver
+
+	// stop ends the eviction ticker (see evictLoop), which closes evicted
+	// when it has returned.
+	stop     chan struct{}
+	stopOnce sync.Once
+	evicted  chan struct{}
 }
 
 // Serve binds one UDP socket per address (port 0 picks free ports) and
@@ -306,6 +313,7 @@ type Server struct {
 // datagrams land on the same reassembly shard, and completed symbols are
 // handed to onMessage one at a time (a dedicated delivery lock), so
 // onMessage needs no internal locking and owns the payload it is handed.
+// A ticker evicts timed-out incomplete symbols while no datagrams arrive.
 func Serve(addrs []string, cfg SessionConfig, onMessage func(seq uint64, payload []byte, delay time.Duration)) (*Server, error) {
 	if onMessage == nil {
 		return nil, errors.New("remicss: nil message callback")
@@ -334,14 +342,39 @@ func Serve(addrs []string, cfg SessionConfig, onMessage func(seq uint64, payload
 	if cfg.Metrics != nil {
 		listener.Instrument(cfg.Metrics)
 	}
-	s := &Server{listener: listener, receiver: receiver}
+	s := &Server{listener: listener, receiver: receiver, stop: make(chan struct{}), evicted: make(chan struct{})}
 	// HandleDatagram only reads the buffer during the call, which is
 	// exactly ServeConcurrent's reuse contract — no per-datagram copy or
 	// cross-channel serialization in the transport. Under the "gso" batch
 	// mode each socket reads with UDP_GRO, so a run a busy Client sent as one
 	// segmented message arrives in one kernel entry.
 	listener.ServeConcurrent(receiver.HandleDatagram)
+	timeout := cfg.Timeout
+	if timeout <= 0 {
+		timeout = remicss.DefaultReassemblyTimeout
+	}
+	go s.evictLoop(max(timeout/2, time.Millisecond))
 	return s, nil
+}
+
+// evictLoop calls the receiver's Tick every period until Close. Ingest
+// evicts only in the shard a datagram lands in, so without it an incomplete
+// symbol on a quiet server, its share buffers and the pending gauge would
+// stay until traffic returned. Serve ticks at half the timeout, a
+// millisecond at the least, so such a symbol leaves at most one period
+// after it times out.
+func (s *Server) evictLoop(period time.Duration) {
+	defer close(s.evicted)
+	t := time.NewTicker(period)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-t.C:
+			s.receiver.Tick()
+		}
+	}
 }
 
 // Addrs returns the bound channel addresses, in order, for Connect.
@@ -354,8 +387,13 @@ func (s *Server) Stats() ReceiverStats { return s.receiver.Stats() }
 // SessionConfig.Metrics, or the private registry created in its absence).
 func (s *Server) Metrics() *MetricsRegistry { return s.receiver.Metrics() }
 
-// Close shuts the channel sockets down and stops the reader goroutines.
-func (s *Server) Close() error { return s.listener.Close() }
+// Close shuts the channel sockets down and stops the reader goroutines and
+// the eviction ticker, waiting for the ticker to return.
+func (s *Server) Close() error {
+	s.stopOnce.Do(func() { close(s.stop) })
+	<-s.evicted
+	return s.listener.Close()
+}
 
 // String renders a short description for logs.
 func (s *Server) String() string {

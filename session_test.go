@@ -13,6 +13,7 @@ import (
 
 	"remicss"
 	"remicss/internal/udptrans"
+	"remicss/internal/wire"
 )
 
 func startSession(t *testing.T, cfg remicss.SessionConfig, onMessage func(uint64, []byte, time.Duration)) (*remicss.Server, *remicss.Client) {
@@ -128,6 +129,40 @@ func TestSessionKeyMismatchDropsEverything(t *testing.T) {
 	if srv.Stats().CombineFailures == 0 {
 		t.Error("no combine failures recorded")
 	}
+}
+
+// TestServeEvictsWhenQuiet sends one share of a 2-of-3 symbol and nothing
+// else: the server must evict the incomplete symbol after its timeout on
+// its own, with no further datagram to trigger ingest-time eviction.
+func TestServeEvictsWhenQuiet(t *testing.T) {
+	reg := remicss.NewMetricsRegistry()
+	srv, err := remicss.Serve([]string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"},
+		remicss.SessionConfig{Timeout: 20 * time.Millisecond, Metrics: reg},
+		func(uint64, []byte, time.Duration) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	share, err := wire.AppendMarshal(nil, wire.SharePacket{Seq: 1, K: 2, M: 3, Index: 0, Payload: []byte{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", srv.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Loopback may drop a datagram under load; resend until one is held.
+	waitFor(t, 5*time.Second, func() bool {
+		if srv.Stats().SharesReceived == 0 {
+			conn.Write(share)
+			time.Sleep(time.Millisecond)
+		}
+		return srv.Stats().SharesReceived > 0
+	})
+	waitFor(t, 2*time.Second, func() bool {
+		return srv.Stats().SymbolsEvicted == 1 && sumSeries(reg, "remicss_receiver_pending") == 0
+	})
 }
 
 func TestSessionDefaultParams(t *testing.T) {
