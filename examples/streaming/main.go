@@ -28,11 +28,25 @@ func main() {
 	}
 	defer listener.Close()
 
+	// The stream: 256 KiB of structured data, sent in 1 KiB chunks, so
+	// symbol seq carries data[seq*chunk:].
+	const chunk = 1024
+	data := make([]byte, 256<<10)
+	for i := range data {
+		data[i] = byte(i % 251)
+	}
+
 	var mu sync.Mutex
 	var out bytes.Buffer
-	var gaps uint64
+	var gaps, corrupted uint64
 	orderer, err := remicss.NewStreamOrderer(512,
-		func(_ uint64, p []byte) { out.Write(p) },
+		func(seq uint64, p []byte) {
+			// Every chunk must be the right bytes, whatever gaps were skipped.
+			if off := seq * chunk; off >= uint64(len(data)) || !bytes.Equal(p, data[off:min(off+chunk, uint64(len(data)))]) {
+				corrupted++
+			}
+			out.Write(p)
+		},
 		func(_, n uint64) { gaps += n })
 	if err != nil {
 		log.Fatal(err)
@@ -88,7 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	writer, err := remicss.NewStreamWriter(snd.Send, 1024, func(err error) bool {
+	writer, err := remicss.NewStreamWriter(snd.Send, chunk, func(err error) bool {
 		if errors.Is(err, remicss.ErrBackpressure) {
 			time.Sleep(time.Millisecond)
 			return true
@@ -99,11 +113,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Stream 256 KiB of structured data.
-	data := make([]byte, 256<<10)
-	for i := range data {
-		data[i] = byte(i % 251)
-	}
 	start := time.Now()
 	if _, err := writer.Write(data); err != nil {
 		log.Fatal(err)
@@ -124,6 +133,7 @@ func main() {
 	orderer.Flush()
 	ok := bytes.Equal(out.Bytes(), data)
 	st := orderer.Stats()
+	bad := corrupted
 	mu.Unlock()
 
 	fmt.Printf("streamed %d KiB over 3 channels with 10%% loss each in %v\n",
@@ -132,6 +142,9 @@ func main() {
 		st.Delivered, st.Skipped, ok)
 	sst := snd.Stats()
 	fmt.Printf("shares sent: %d (3 per symbol; per-symbol survival ≈ 99.9%%)\n", sst.SharesSent)
+	if bad > 0 {
+		log.Fatalf("%d chunks delivered with the wrong bytes", bad)
+	}
 	if !ok && st.Skipped == 0 {
 		log.Fatal("stream corrupted without recorded gaps")
 	}

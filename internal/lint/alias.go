@@ -10,8 +10,15 @@ import (
 // tracked parameter.
 type aliasWalk struct {
 	pass    *Pass
-	fd      *ast.FuncDecl
+	fn      ast.Node // the checked *ast.FuncDecl or *ast.FuncLit
+	name    string   // how diagnostics name fn
 	aliases map[types.Object]bool
+}
+
+// local reports whether obj is declared inside the checked function, so a
+// value bound to it goes out of scope with the call.
+func (w *aliasWalk) local(obj types.Object) bool {
+	return obj != nil && w.fn.Pos() <= obj.Pos() && obj.Pos() < w.fn.End()
 }
 
 // alias reports whether e evaluates to a slice sharing the parameter's
@@ -32,21 +39,30 @@ func (w *aliasWalk) alias(e ast.Expr) bool {
 // reportf reports at pos, passing the checked function's name as the
 // format's first argument.
 func (w *aliasWalk) reportf(pos token.Pos, format string, args ...any) {
-	w.pass.Reportf(pos, format, append([]any{w.fd.Name.Name}, args...)...)
+	w.pass.Reportf(pos, format, append([]any{w.name}, args...)...)
 }
 
-// walkAliases walks fd's body in source order with param, if not nil, as
-// the first alias. Every node goes to sink, the analyzer's table of
+// walkAliases walks the body of fn, a *ast.FuncDecl or *ast.FuncLit that
+// diagnostics call name, in source order with param, if not nil, as the
+// first alias. Every node goes to sink, the analyzer's table of
 // forbidden uses, which returns false to skip the node's children. An
 // assignment is then applied by the one alias rule, after its operands have
 // been walked: a local bound to an alias becomes one, and a local bound to
 // anything else stops being one — the parameter included, so reassigning it
-// to a fresh buffer ends tracking.
-func walkAliases(pass *Pass, fd *ast.FuncDecl, param types.Object, sink func(*aliasWalk, ast.Node) bool) {
+// to a fresh buffer ends tracking. Variables declared outside fn are never
+// aliases: binding one is for the sink to judge.
+func walkAliases(pass *Pass, fn ast.Node, name string, param types.Object, sink func(*aliasWalk, ast.Node) bool) {
 	if param == nil {
 		return
 	}
-	w := &aliasWalk{pass: pass, fd: fd, aliases: map[types.Object]bool{param: true}}
+	var body *ast.BlockStmt
+	switch fn := fn.(type) {
+	case *ast.FuncDecl:
+		body = fn.Body
+	case *ast.FuncLit:
+		body = fn.Body
+	}
+	w := &aliasWalk{pass: pass, fn: fn, name: name, aliases: map[types.Object]bool{param: true}}
 	var visit func(ast.Node) bool
 	visit = func(n ast.Node) bool {
 		if !sink(w, n) {
@@ -78,7 +94,7 @@ func walkAliases(pass *Pass, fd *ast.FuncDecl, param types.Object, sink func(*al
 			if obj == nil {
 				obj = pass.Info.Uses[id]
 			}
-			if obj == nil || obj.Parent() == pass.Pkg.Scope() {
+			if !w.local(obj) {
 				continue
 			}
 			if bound[i] {
@@ -89,7 +105,7 @@ func walkAliases(pass *Pass, fd *ast.FuncDecl, param types.Object, sink func(*al
 		}
 		return false
 	}
-	ast.Inspect(fd.Body, visit)
+	ast.Inspect(body, visit)
 }
 
 func isByteSlice(t types.Type) bool {

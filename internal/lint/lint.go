@@ -8,9 +8,9 @@
 //     secret-bearing packages or in an io.Reader randomness slot), noalloc
 //     (no allocating construct in a //remicss:noalloc function), and
 //     noretain and readonly-input, two sink tables over one walker that
-//     follows a []byte parameter through local aliases (Send and
-//     HandleDatagram must not retain it; Unmarshal must not write through
-//     it). Across the module: atomicmix (a field used with sync/atomic is
+//     follows a []byte parameter through local aliases (Send,
+//     HandleDatagram and the delivery callbacks must not retain it;
+//     Unmarshal must not write through it). Across the module: atomicmix (a field used with sync/atomic is
 //     used with nothing else).
 //   - Taint summaries carry //remicss:secret data through calls and
 //     packages to errors, logs, traces, metric labels, and retained state

@@ -21,7 +21,9 @@ import (
 func ReadOnlyInputAnalyzer() *Analyzer {
 	return funcAnalyzer("readonly-input",
 		"Unmarshal-shaped functions must not write through their input slice",
-		func(pass *Pass, fd *ast.FuncDecl) { walkAliases(pass, fd, readOnlyParam(pass, fd), readOnlySink) })
+		func(pass *Pass, fd *ast.FuncDecl) {
+			walkAliases(pass, fd, fd.Name.Name, readOnlyParam(pass, fd), readOnlySink)
+		})
 }
 
 // readOnlyParam returns the input []byte parameter object when fd is an

@@ -1,6 +1,7 @@
 // Package noretain exercises the noretain analyzer: field, channel, pool,
 // composite-literal, and closure retention of a Send/HandleDatagram
-// argument, plus the suppressed and clean implementations.
+// argument and of a delivery callback's payload, plus the suppressed and
+// clean implementations.
 package noretain
 
 import "sync"
@@ -64,4 +65,62 @@ func (l *copyLink) Send(datagram []byte) bool {
 	_ = view
 	l.buf = append(l.buf[:0], datagram...)
 	return len(l.buf) > 0
+}
+
+// ReceiverConfig stands in for the receiver's configuration: OnSymbol's
+// payload is lent for the call.
+type ReceiverConfig struct {
+	OnSymbol func(seq uint64, payload []byte)
+}
+
+// Serve stands in for the facade's Serve, whose third argument is a
+// delivery callback.
+func Serve(addrs []string, cfg ReceiverConfig, onMessage func(seq uint64, payload []byte)) {}
+
+// NewOrderer stands in for stream.NewOrderer, whose deliver is a delivery
+// callback.
+func NewOrderer(window int, deliver func(seq uint64, payload []byte)) {}
+
+// retainingCallbacks keeps the lent payload every way a callback can.
+func retainingCallbacks() {
+	var kept []byte
+	got := map[uint64][]byte{}
+	var all [][]byte
+	_ = ReceiverConfig{
+		OnSymbol: func(seq uint64, payload []byte) {
+			kept = payload // want `OnSymbol callback stores the payload \(or a subslice\) into kept, declared outside it`
+		},
+	}
+	Serve(nil, ReceiverConfig{}, func(seq uint64, payload []byte) {
+		got[seq] = payload[1:] // want `Serve callback stores the payload \(or a subslice\) into got\[seq\]`
+	})
+	NewOrderer(8, func(seq uint64, p []byte) {
+		all = append(all, p) // want `NewOrderer callback appends the payload to a slice as an element`
+	})
+	_ = ReceiverConfig{
+		OnSymbol: func(seq uint64, payload []byte) {
+			go func() { // want `closure in OnSymbol callback captures the payload`
+				_ = payload
+			}()
+		},
+	}
+	_, _, _ = kept, got, all
+}
+
+// copyingCallbacks copies what they keep, as the contract requires.
+func copyingCallbacks() {
+	var kept []byte
+	got := map[uint64][]byte{}
+	var all [][]byte
+	_ = ReceiverConfig{
+		OnSymbol: func(seq uint64, payload []byte) {
+			head := payload[:2]
+			kept = append(kept[:0], head...)
+			got[seq] = append([]byte(nil), payload...)
+		},
+	}
+	NewOrderer(8, func(seq uint64, p []byte) {
+		all = append(all, append([]byte(nil), p...))
+	})
+	_, _, _ = kept, got, all
 }

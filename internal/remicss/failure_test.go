@@ -1,6 +1,7 @@
 package remicss
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -123,7 +124,7 @@ func TestReceiverHandlesReorderedShares(t *testing.T) {
 	recv, err := NewReceiver(ReceiverConfig{
 		Scheme:   scheme,
 		Clock:    func() time.Duration { return 0 },
-		OnSymbol: func(seq uint64, p []byte, _ time.Duration) { delivered[seq] = p },
+		OnSymbol: func(seq uint64, p []byte, _ time.Duration) { delivered[seq] = bytes.Clone(p) },
 	})
 	if err != nil {
 		t.Fatal(err)

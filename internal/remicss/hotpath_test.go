@@ -125,13 +125,13 @@ func TestReceiverIngestSteadyStateAllocs(t *testing.T) {
 		seq++
 	}
 	for i := 0; i < 5; i++ {
-		round() // warm entryPool
+		round() // warm entryPool and secretPool
 	}
 	allocs := testing.AllocsPerRun(100, round)
-	// Budget: the delivered secret handed to the callback, and one to spare
-	// — nothing per share, nothing for the order, nothing for the window.
-	if allocs > 2 {
-		t.Errorf("ingest allocates %v times per symbol, want <= 2", allocs)
+	// Budget: nothing — not per share, not for the order or the window, and
+	// not for the secret, which is lent from secretPool.
+	if allocs != 0 {
+		t.Errorf("ingest allocates %v times per symbol, want 0", allocs)
 	}
 	if got := recv.Stats().SymbolsDelivered; got != int64(seq) {
 		t.Fatalf("delivered %d of %d symbols", got, seq)

@@ -79,10 +79,12 @@ type ReceiverConfig struct {
 	Clock func() time.Duration
 	// OnSymbol is invoked for every reconstructed symbol with its one-way
 	// delay (reconstruction time minus the sender's timestamp). The payload
-	// is freshly allocated and owned by the callback. OnSymbol runs outside
-	// the reassembly shard locks but under a dedicated delivery mutex —
-	// deliveries arrive one at a time, so the callback needs no internal
-	// locking — and it must not call back into the Receiver.
+	// is lent for the duration of the call: it lives in a pooled buffer that
+	// is wiped to zeros when OnSymbol returns and then reconstructs a later
+	// symbol, so a callback that keeps the bytes copies them. OnSymbol runs
+	// outside the reassembly shard locks but under a dedicated delivery
+	// mutex — deliveries arrive one at a time, so the callback needs no
+	// internal locking — and it must not call back into the Receiver.
 	OnSymbol func(seq uint64, payload []byte, delay time.Duration)
 	// Timeout evicts partial symbols idle longer than this. Defaults to
 	// DefaultReassemblyTimeout.
@@ -156,8 +158,9 @@ const maxReceiverShards = 64
 // delivery is serialized by a dedicated mutex taken outside the shard
 // locks.
 //
-// Steady-state ingest allocates once per symbol, the reconstructed secret,
-// which the callback owns. A datagram is classified from its header first:
+// Steady-state ingest allocates nothing. A symbol is reconstructed into a
+// buffer from the process-wide secretPool, lent to OnSymbol for the call and
+// wiped when it returns. A datagram is classified from its header first:
 // a share whose symbol is delivered or whose index is held costs a header
 // read and no checksum. A share that can help has its checksum verified;
 // then, unless it completes its symbol, its payload is copied out of the
@@ -249,6 +252,11 @@ type entry struct {
 // entryPool recycles reassembly entries, with their share buffers, across
 // symbols and across every receiver in the process.
 var entryPool slotpool.Pool[entry]
+
+// secretPool recycles the buffers symbols are reconstructed into, across
+// symbols and across every receiver in the process. A buffer at rest is all
+// zeros: HandleDatagram wipes it when the callback returns.
+var secretPool slotpool.Pool[[]byte]
 
 // bit locates seq's bit in the replay window.
 // Callers hold sh.mu.
@@ -426,27 +434,34 @@ func (r *Receiver) HandleDatagram(buf []byte) {
 		r.met.sharesInvalid.Inc()
 		return
 	}
-	secret, delay, deliver := r.ingest(r.shardFor(pkt.Seq), buf, &pkt, now)
-	if !deliver {
+	sb, secret, delay, deliver := r.ingest(r.shardFor(pkt.Seq), buf, &pkt, now)
+	if sb == nil {
 		return
 	}
-	// The shard lock is already released: reconstruction of other symbols
-	// proceeds while this delivery runs. deliverMu keeps the OnSymbol
-	// contract — one callback at a time — across shards.
-	r.deliverMu.Lock()
-	r.trace.Record(obs.EventSymbolDelivered, -1, now, pkt.Seq, int64(delay))
-	r.cfg.OnSymbol(pkt.Seq, secret, delay) //lint:allow lockorder deliverMu exists to serialize the delivery callback; OnSymbol must not reenter the receiver
-	r.deliverMu.Unlock()
+	if deliver {
+		// The shard lock is already released: reconstruction of other
+		// symbols proceeds while this delivery runs. deliverMu keeps the
+		// OnSymbol contract — one callback at a time — across shards.
+		r.deliverMu.Lock()
+		r.trace.Record(obs.EventSymbolDelivered, -1, now, pkt.Seq, int64(delay))
+		r.cfg.OnSymbol(pkt.Seq, secret, delay) //lint:allow lockorder deliverMu exists to serialize the delivery callback; OnSymbol must not reenter the receiver
+		r.deliverMu.Unlock()
+	}
+	// The plaintext goes with the call. The pool's own buffer is wiped, not
+	// the slice the scheme returned, so nothing but that buffer is written.
+	clear(*sb)
+	secretPool.Put(sb)
 }
 
 // ingest runs the reassembly state machine for one share, whose header pkt
 // was parsed from the datagram buf, under its shard's lock. A share that
 // cannot help is counted late, invalid or duplicate from its header alone;
 // dropping on an unverified header only ever drops. Only a share whose
-// checksum verifies creates an entry, sets a held bit or is copied. It
-// returns the reconstructed secret when this share completed the symbol;
-// the caller performs the delivery after releasing the shard lock.
-func (r *Receiver) ingest(sh *recvShard, buf []byte, pkt *wire.SharePacket, now time.Duration) ([]byte, time.Duration, bool) {
+// checksum verifies creates an entry, sets a held bit or is copied. When
+// this share completes the symbol, it returns the pooled buffer the symbol
+// was combined into, which the caller wipes and pools after releasing the
+// shard lock, and, if the combine succeeded, the secret to deliver.
+func (r *Receiver) ingest(sh *recvShard, buf []byte, pkt *wire.SharePacket, now time.Duration) (sb *[]byte, secret []byte, delay time.Duration, deliver bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
@@ -456,22 +471,22 @@ func (r *Receiver) ingest(sh *recvShard, buf []byte, pkt *wire.SharePacket, now 
 		// Checked before the lookup: an incomplete symbol the window has
 		// overtaken takes no more shares and leaves by timeout.
 		r.met.sharesLate.Inc()
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	e := sh.pending[pkt.Seq]
 	if e != nil && (int(pkt.K) != e.k || int(pkt.M) != e.m) {
 		// Shares of one symbol must agree on parameters; the first share
 		// admitted wins and inconsistent ones are discarded.
 		r.met.sharesInvalid.Inc()
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	if e != nil && e.haveIdx&(1<<uint(pkt.Index)) != 0 {
 		r.met.sharesDuplicate.Inc()
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	if wire.VerifyChecksum(buf) != nil {
 		r.met.sharesInvalid.Inc()
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	if e == nil {
 		e = r.open(sh, pkt, now)
@@ -488,29 +503,37 @@ func (r *Receiver) ingest(sh *recvShard, buf []byte, pkt *wire.SharePacket, now 
 	if n+1 < e.k {
 		// The copy goes into the buffer the last symbol here left, if it fits.
 		slot.Data = append(slot.Data[:0], pkt.Payload...)
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	// The completing share is combined from the datagram itself, which is
 	// readable for the duration of the call; the slot's own buffer goes back
-	// before the entry is pooled. A nil destination makes CombineInto
-	// allocate a fresh secret, whose ownership transfers to the callback
-	// (downstream consumers such as stream.Orderer retain payloads).
+	// before the entry is pooled. The secret goes into a pooled buffer as
+	// long as a share, which no scheme's secret outgrows (see
+	// sharing.Scheme), so the combine writes nothing else.
+	sb = secretPool.Get()
+	if sb == nil {
+		sb = new([]byte)
+	}
+	if cap(*sb) < len(pkt.Payload) {
+		*sb = make([]byte, len(pkt.Payload))
+	}
+	*sb = (*sb)[:len(pkt.Payload)]
 	own := slot.Data
 	slot.Data = pkt.Payload
-	secret, err := sharing.CombineInto(r.cfg.Scheme, nil, e.shares, e.k, e.m)
+	secret, err := sharing.CombineInto(r.cfg.Scheme, (*sb)[:0], e.shares, e.k, e.m)
 	slot.Data = own
-	delay := now - time.Duration(e.sentAt)
+	delay = now - time.Duration(e.sentAt)
 	r.remove(sh, e)
 	if err != nil {
 		// Nothing is remembered: the shares that failed may have been
 		// forged, and the honest ones still to come may complete the symbol.
 		r.met.combineFailures.Inc()
-		return nil, 0, false
+		return sb, nil, 0, false
 	}
 	sh.markDelivered(pkt.Seq)
 	r.met.symbolsDeliv.Inc()
 	r.met.delay.Observe(int64(delay))
-	return secret, delay, true
+	return sb, secret, delay, true
 }
 
 // open admits a pooled entry for pkt's symbol, first making room under the

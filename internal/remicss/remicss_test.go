@@ -37,7 +37,7 @@ func newTestBed(t *testing.T, cfgs []netem.LinkConfig, chooser Chooser, seed int
 		Scheme: scheme,
 		Clock:  tb.eng.Now,
 		OnSymbol: func(seq uint64, payload []byte, delay time.Duration) {
-			tb.delivered[seq] = payload
+			tb.delivered[seq] = bytes.Clone(payload)
 			tb.delays = append(tb.delays, delay)
 		},
 	})
@@ -468,7 +468,7 @@ func TestReceiverCorruptFirstShareOpensNothing(t *testing.T) {
 	recv, err := NewReceiver(ReceiverConfig{
 		Scheme:   scheme,
 		Clock:    func() time.Duration { return 0 },
-		OnSymbol: func(_ uint64, payload []byte, _ time.Duration) { got = payload },
+		OnSymbol: func(_ uint64, payload []byte, _ time.Duration) { got = bytes.Clone(payload) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -490,10 +490,11 @@ func TestReceiverCorruptFirstShareOpensNothing(t *testing.T) {
 }
 
 // TestReceiverSecretOutlivesDatagram checks, for every scheme, that the
-// delivered secret is the callback's own: the completing share is combined
-// straight from the datagram, and overwriting that datagram (as a transport
-// reusing its receive buffer does) after HandleDatagram returns leaves the
-// secret intact.
+// delivered secret does not alias the datagram: the completing share is
+// combined straight from the datagram, and overwriting that datagram (as a
+// transport reusing its receive buffer does) while the callback holds the
+// secret leaves the secret intact. The callback copies what it keeps, as
+// the OnSymbol contract requires.
 func TestReceiverSecretOutlivesDatagram(t *testing.T) {
 	auth, err := sharing.NewAuthenticated(sharing.NewAuto(rand.New(rand.NewSource(16))), []byte("outlive key"))
 	if err != nil {
@@ -512,25 +513,27 @@ func TestReceiverSecretOutlivesDatagram(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			secret := bytes.Repeat([]byte("outlive"), 40)
 			var got []byte
+			// One receive buffer for every datagram, as a transport reader has.
+			buf := make([]byte, 0, 1<<10)
 			recv, err := NewReceiver(ReceiverConfig{
-				Scheme:   tc.scheme,
-				Clock:    func() time.Duration { return 0 },
-				OnSymbol: func(_ uint64, payload []byte, _ time.Duration) { got = payload },
+				Scheme: tc.scheme,
+				Clock:  func() time.Duration { return 0 },
+				OnSymbol: func(_ uint64, payload []byte, _ time.Duration) {
+					for i := range buf {
+						buf[i] = 0xFF
+					}
+					got = bytes.Clone(payload)
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// One receive buffer for every datagram, as a transport reader has.
-			buf := make([]byte, 0, 1<<10)
 			for _, d := range marshalShares(t, tc.scheme, secret, 9, tc.k, tc.m)[:tc.k] {
 				buf = append(buf[:0], d...)
 				recv.HandleDatagram(buf)
 			}
 			if !bytes.Equal(got, secret) {
 				t.Fatalf("delivered %q, want %q", got, secret)
-			}
-			for i := range buf {
-				buf[i] = 0xFF
 			}
 			for _, d := range marshalShares(t, tc.scheme, []byte("next symbol"), 10, tc.k, tc.m)[:tc.k] {
 				buf = append(buf[:0], d...)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // intoSchemes builds one deterministic instance of every scheme for the
@@ -307,6 +308,78 @@ func BenchmarkSplitSharesInto(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if shares, err = scheme.SplitSharesInto(secret, tc.k, tc.m, shares); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// overlaps reports whether the backing arrays of a and b share any byte
+// within their capacities.
+func overlaps(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
+}
+
+// TestCombineIntoPoolingInvariant pins what a receiver that reconstructs
+// into one pooled buffer, and wipes it, relies on: CombineInto's result
+// never aliases a share's Data, so wiping or reusing it never writes a share
+// (the completing share's Data is the transport's datagram); the result is
+// no longer than a share; and a dst with a share's length of capacity is
+// reused, not replaced.
+func TestCombineIntoPoolingInvariant(t *testing.T) {
+	auth, err := NewAuthenticated(NewAuto(rand.New(rand.NewSource(7))), []byte("pool key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		scheme Scheme
+		k, m   int
+	}{
+		{"replication", Replication{}, 1, 3},
+		{"xor", NewXOR(rand.New(rand.NewSource(7))), 3, 3},
+		{"shamir", NewShamir(rand.New(rand.NewSource(7))), 3, 5},
+		{"authenticated-1of3", auth, 1, 3},
+		{"authenticated-3of3", auth, 3, 3},
+		{"authenticated-3of5", auth, 3, 5},
+		{"auto-1of3", NewAuto(rand.New(rand.NewSource(7))), 1, 3},
+		{"auto-3of3", NewAuto(rand.New(rand.NewSource(7))), 3, 3},
+		{"auto-3of5", NewAuto(rand.New(rand.NewSource(7))), 3, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			secret := bytes.Repeat([]byte("pooled secret "), 20)
+			shares, err := tc.scheme.SplitSharesInto(secret, tc.k, tc.m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares = shares[:tc.k]
+			shareLen := len(shares[0].Data)
+			for _, dst := range [][]byte{
+				nil,
+				make([]byte, 0, shareLen),
+				bytes.Repeat([]byte{0xEE}, 2*shareLen)[:0],
+			} {
+				out, err := tc.scheme.CombineInto(dst, shares, tc.k, tc.m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out, secret) {
+					t.Fatalf("cap(dst) %d: combined %q, want %q", cap(dst), out, secret)
+				}
+				if len(out) > shareLen {
+					t.Errorf("cap(dst) %d: %d-byte result outgrows the %d-byte shares", cap(dst), len(out), shareLen)
+				}
+				for _, sh := range shares {
+					if overlaps(out, sh.Data) {
+						t.Errorf("cap(dst) %d: result aliases share %d", cap(dst), sh.Index)
+					}
+				}
+				if dst != nil && unsafe.SliceData(out) != unsafe.SliceData(dst) {
+					t.Errorf("cap(dst) %d: result was not combined into dst", cap(dst))
 				}
 			}
 		})

@@ -63,7 +63,10 @@ type Scheme interface {
 	// reused) and returns it. Passing nil dst allocates the result. It reads
 	// the shares' Data only during the call, and never writes or retains
 	// it, so Data may alias a buffer the caller does not own (a receiver
-	// combines the completing share straight from its datagram).
+	// combines the completing share straight from its datagram). The
+	// result never aliases a share's Data and is no longer than one, so a
+	// dst with a share's length of capacity always holds it: the receiver
+	// combines into a pooled buffer of that size and wipes it afterwards.
 	CombineInto(dst []byte, shares []Share, k, m int) ([]byte, error)
 }
 

@@ -79,6 +79,12 @@ func (w *Writer) Write(p []byte) (int, error) {
 // any order; deliver is invoked in strictly increasing sequence order. When
 // more than Window out-of-order symbols accumulate, the oldest gap is
 // declared lost (onGap) and delivery resumes past it.
+//
+// Payloads are borrowed on both sides, like a Receiver's OnSymbol payload:
+// Push reads its payload only during the call, and deliver's payload is
+// valid only during its call. A symbol that must wait for its turn is copied
+// into a buffer the Orderer owns, which is wiped once delivered and holds the
+// next symbol that must wait.
 type Orderer struct {
 	deliver func(seq uint64, payload []byte)
 	onGap   func(first, n uint64)
@@ -86,6 +92,7 @@ type Orderer struct {
 
 	next    uint64
 	pending map[uint64][]byte //remicss:secret
+	free    [][]byte          // wiped buffers of delivered waiting symbols //remicss:secret
 
 	delivered, skipped, duplicate, stale int64
 }
@@ -104,8 +111,9 @@ type OrdererStats struct {
 
 // NewOrderer builds an orderer delivering in-order from sequence 0. window
 // bounds the number of buffered out-of-order symbols before the oldest gap
-// is skipped. onGap, which may be nil, is called once per skipped gap with
-// its first sequence number and its length.
+// is skipped. deliver must copy what it keeps of a payload. onGap, which
+// may be nil, is called once per skipped gap with its first sequence number
+// and its length.
 func NewOrderer(window int, deliver func(seq uint64, payload []byte), onGap func(first, n uint64)) (*Orderer, error) {
 	if deliver == nil {
 		return nil, errors.New("stream: nil deliver function")
@@ -121,8 +129,9 @@ func NewOrderer(window int, deliver func(seq uint64, payload []byte), onGap func
 	}, nil
 }
 
-// Push accepts one symbol. The payload is retained until delivery; callers
-// must not mutate it afterwards.
+// Push accepts one symbol and reads payload only during the call: the next
+// symbol in order goes to deliver as is, and a later one is copied before it
+// waits, so callers may reuse or wipe payload as soon as Push returns.
 func (o *Orderer) Push(seq uint64, payload []byte) {
 	switch {
 	case seq < o.next:
@@ -138,7 +147,11 @@ func (o *Orderer) Push(seq uint64, payload []byte) {
 			o.duplicate++
 			return
 		}
-		o.pending[seq] = payload
+		var buf []byte
+		if n := len(o.free); n > 0 {
+			buf, o.free = o.free[n-1], o.free[:n-1]
+		}
+		o.pending[seq] = append(buf, payload...)
 		for len(o.pending) > o.window {
 			o.skipOldestGap()
 		}
@@ -166,7 +179,8 @@ func (o *Orderer) Stats() OrdererStats {
 // Pending returns the number of buffered out-of-order symbols.
 func (o *Orderer) Pending() int { return len(o.pending) }
 
-// drain delivers consecutive buffered symbols starting at next.
+// drain delivers consecutive buffered symbols starting at next, wiping each
+// buffer into the free list once deliver returns.
 func (o *Orderer) drain() {
 	for {
 		payload, ok := o.pending[o.next]
@@ -175,6 +189,8 @@ func (o *Orderer) drain() {
 		}
 		delete(o.pending, o.next)
 		o.deliver(o.next, payload)
+		clear(payload)
+		o.free = append(o.free, payload[:0])
 		o.delivered++
 		o.next++
 	}

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -318,5 +319,30 @@ func TestWriterOrdererRoundtrip(t *testing.T) {
 	o.Flush()
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Error("roundtrip corrupted the stream")
+	}
+}
+
+// TestOrdererCopiesWaitingPayloads checks that Push reads its payload only
+// during the call: a symbol that must wait keeps its bytes when the caller
+// overwrites the pushed slice afterwards, as a Receiver wiping its lent
+// payload does.
+func TestOrdererCopiesWaitingPayloads(t *testing.T) {
+	got := map[uint64]string{}
+	o, err := NewOrderer(8, func(seq uint64, p []byte) { got[seq] = string(p) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lent := make([]byte, 5)
+	for _, sym := range []struct {
+		seq     uint64
+		payload string
+	}{{2, "two.."}, {1, "one.."}, {0, "zero."}, {4, "four."}, {3, "three"}} {
+		copy(lent, sym.payload)
+		o.Push(sym.seq, lent)
+		clear(lent)
+	}
+	want := map[uint64]string{0: "zero.", 1: "one..", 2: "two..", 3: "three", 4: "four."}
+	if !maps.Equal(got, want) {
+		t.Errorf("delivered %v, want %v", got, want)
 	}
 }

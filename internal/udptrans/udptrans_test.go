@@ -26,7 +26,7 @@ func TestLoopbackEndToEnd(t *testing.T) {
 		Clock:  WallClock,
 		OnSymbol: func(seq uint64, payload []byte, _ time.Duration) {
 			mu.Lock()
-			delivered[seq] = payload
+			delivered[seq] = bytes.Clone(payload)
 			mu.Unlock()
 		},
 	})

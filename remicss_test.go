@@ -146,7 +146,7 @@ func TestFacadeUDPSession(t *testing.T) {
 		Clock:  remicss.WallClock,
 		OnSymbol: func(seq uint64, payload []byte, _ time.Duration) {
 			mu.Lock()
-			received[seq] = payload
+			received[seq] = bytes.Clone(payload)
 			mu.Unlock()
 		},
 	})

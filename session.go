@@ -312,7 +312,9 @@ type Server struct {
 // the receiver from its own goroutine; sockets contend only when their
 // datagrams land on the same reassembly shard, and completed symbols are
 // handed to onMessage one at a time (a dedicated delivery lock), so
-// onMessage needs no internal locking and owns the payload it is handed.
+// onMessage needs no internal locking. The payload is lent for the call
+// only: it is wiped to zeros when onMessage returns and its buffer
+// reconstructs a later message, so onMessage copies whatever it keeps.
 // A ticker evicts timed-out incomplete symbols while no datagrams arrive.
 func Serve(addrs []string, cfg SessionConfig, onMessage func(seq uint64, payload []byte, delay time.Duration)) (*Server, error) {
 	if onMessage == nil {
